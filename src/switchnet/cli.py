@@ -6,9 +6,9 @@ seed and arithmetic mode; identical configs reproduce byte-identical
 reports apart from the timestamp.  Exit codes: 0 success, 1 property
 violation / hypothesis failure, 2 usage error.
 
-Environment overrides: SWITCHNET_TOL (float tolerance), SWITCHNET_WORKERS
-(parallelism cap for the per-cut sweeps; sweeps are deterministic
-regardless).
+Environment overrides: SWITCHNET_TOL (float tolerance).  SWITCHNET_WORKERS
+and --workers are still accepted for compatibility but select nothing:
+every verification sweep runs as one single-process pass.
 """
 
 import argparse
@@ -17,10 +17,9 @@ import os
 import random
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import lowerbound, parity, pebbles, spectral
-from .cuts import CutFunction
+from .cuts import random_sparse_function
 from .graphs import InputGraph, all_distinct_permuted_copies
 from .networks import SwitchingNetwork
 
@@ -44,40 +43,36 @@ def _emit(report, path=None):
     print(text)
 
 
+class InputFileError(Exception):
+    """An input file that cannot be read or does not describe a valid object;
+    reported as a usage error."""
+
+
+def _load(path, from_json):
+    try:
+        with open(path) as fh:
+            return from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputFileError(f"cannot read {path}: {exc!r}") from exc
+
+
 def _load_graph(path):
-    with open(path) as fh:
-        return InputGraph.from_json(json.load(fh))
+    return _load(path, InputGraph.from_json)
 
 
 def _load_network(path):
-    with open(path) as fh:
-        return SwitchingNetwork.from_json(json.load(fh))
-
-
-def _parallel_all(fn, items, workers):
-    """Deterministic conjunction of fn over items; results are order-independent
-    booleans, so any worker count gives the same report."""
-    if workers <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // workers)))
+    return _load(path, SwitchingNetwork.from_json)
 
 
 def cmd_verify_network(args):
     net = _load_network(args.net)
     graph = _load_graph(args.graph)
     sound = net.is_sound()
-    counterexample = None
-    if not sound:
-        cut = net.soundness_counterexample()
-        counterexample = {"kind": "unsound", "cut_left_mask": cut}
+    counterexample = None if sound else {"kind": "unsound", "cut_left_mask": net.soundness_counterexample()}
     family = [graph] if args.family == "single" else all_distinct_permuted_copies(graph)
-    accepted = _parallel_all(net.accepts, family, args.workers)
-    complete = all(accepted)
+    missing = net.completeness_counterexample(family)
+    complete = missing is None
     if sound and not complete:
-        missing = family[accepted.index(False)]
         counterexample = {"kind": "incomplete", "graph": missing.to_json()}
     report = _report(
         {
@@ -253,16 +248,6 @@ def cmd_spectra(args):
     return EXIT_OK if verified else EXIT_VIOLATION
 
 
-def _random_sparse(n, rng, terms=4, max_level=None):
-    coeffs = {}
-    level_cap = n if max_level is None else max_level
-    for _ in range(terms):
-        size = rng.randint(0, level_cap)
-        V = frozenset(rng.sample(range(1, n + 1), size))
-        coeffs[V] = coeffs.get(V, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-    return CutFunction(n, coeffs=coeffs)
-
-
 def cmd_verify_permutation_average(args):
     from .sums import permutation_average_bruteforce, permutation_average_formula
 
@@ -270,8 +255,8 @@ def cmd_verify_permutation_average(args):
     rows = ["trial,formula,bruteforce,diff"]
     all_equal = True
     for trial in range(args.trials):
-        f = _random_sparse(args.n, rng)
-        g = _random_sparse(args.n, rng)
+        f = random_sparse_function(args.n, rng)
+        g = random_sparse_function(args.n, rng)
         lhs = permutation_average_formula(f, g)
         rhs = permutation_average_bruteforce(f, g)
         diff = lhs - rhs
@@ -298,7 +283,7 @@ def build_parser():
         "certificates, constructions, and brute-force verification.",
     )
     parser.add_argument("--workers", type=int, default=int(os.environ.get("SWITCHNET_WORKERS", 1)),
-                        help="parallelism cap for sweeps (results are deterministic regardless)")
+                        help="accepted for compatibility; sweeps run as one single-process pass")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-network", help="soundness + completeness sweep")
@@ -376,6 +361,9 @@ def main(argv=None):
         return args.func(args)
     except FileNotFoundError as exc:
         print(json.dumps({"error": f"cannot read {exc.filename}"}), file=sys.stderr)
+        return EXIT_USAGE
+    except InputFileError as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -323,6 +323,17 @@ def _scalar_from_json(c):
     return c
 
 
+def random_sparse_function(n, rng, terms=4, max_level=None):
+    """Random sparse rational coefficients from `rng`, optionally capped in level."""
+    cap = n if max_level is None else max_level
+    coeffs = {}
+    for _ in range(terms):
+        size = rng.randint(0, cap)
+        V = frozenset(rng.sample(range(1, n + 1), size))
+        coeffs[V] = coeffs.get(V, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    return CutFunction(n, coeffs=coeffs)
+
+
 def transform(f: CutFunction) -> CutFunction:
     """Fill in whichever representation of f is missing; returns f."""
     f.values  # noqa: B018 - force both representations

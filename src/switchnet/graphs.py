@@ -1,6 +1,7 @@
 """Input graphs on {s, t, 1..n} with bounded-depth reachability queries."""
 
 from collections import deque
+from itertools import combinations
 
 
 def _valid_vertex(v, n):
@@ -171,18 +172,42 @@ class InputGraph:
         return cls(obj["n"], {(u, v) for u, v in obj["edges"]})
 
 
-def permute_graph(sigma, graph: InputGraph) -> InputGraph:
-    return graph.permuted(sigma)
+def _swap_classes(graph: InputGraph):
+    """Middle vertices grouped by whether swapping two of them fixes the edge
+    set.  That relation is an equivalence, since (i k) = (i j)(j k)(i j), so
+    every permutation inside a class is an automorphism of the graph."""
+    classes = []
+    for v in graph.middle_vertices():
+        for cls in classes:
+            u = cls[0]
+            if graph.permuted(lambda x: {u: v, v: u}.get(x, x)) == graph:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
 
 
 def all_distinct_permuted_copies(graph: InputGraph):
-    """The family {sigma(G)} over all permutations, deduplicated."""
-    from .cuts import Permutation
+    """The family {sigma(G)} over all permutations, deduplicated, in the
+    order of each copy's lexicographically first (sigma(1), ..., sigma(n)).
 
+    Only canonical maps are walked: one per assignment of disjoint image
+    sets to the swap classes, sending each class in increasing order onto
+    its image set in increasing order.  Every sigma is a canonical map
+    composed with a permutation inside the classes, and the first sigma of
+    each copy is canonical, so the n!/prod |C|! canonical maps, sorted,
+    give the same list as walking all n! permutations.
+    """
+    n = graph.n
+    partial = [({}, range(1, n + 1))]
+    for cls in _swap_classes(graph):
+        partial = [({**m, **dict(zip(cls, image))}, [w for w in free if w not in image])
+                   for m, free in partial for image in combinations(free, len(cls))]
     seen = {}
-    for sigma in Permutation.all(graph.n):
-        g = graph.permuted(sigma)
-        seen[g.edges] = g
+    for images in sorted(tuple(m[v] for v in range(1, n + 1)) for m, _ in partial):
+        g = graph.permuted(lambda v: v if v in ("s", "t") else images[v - 1])
+        seen.setdefault(g.edges, g)
     return list(seen.values())
 
 

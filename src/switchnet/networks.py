@@ -7,8 +7,10 @@ negated labels.  Soundness of a monotone network is decided by sweeping
 the 2**n maximal NO instances G(C): acceptance is monotone in the input
 edge set and every disconnected input is a subgraph of some G(C).
 
-The per-cut sweep is run as one dataflow pass using bitmasks over the
-cut space, which also yields the reachability function of every node.
+Both sweeps run one dataflow pass over per-node bitmasks.  Soundness
+uses bitmasks over the cut space, which also yields the reachability
+function of every node; completeness over a family of input graphs uses
+bitmasks over the family's members.
 """
 
 from collections import deque
@@ -69,43 +71,19 @@ class SwitchingNetwork:
 
     def accepts(self, graph: InputGraph) -> bool:
         """True iff some s'-t' path uses only labels consistent with the graph."""
-        if graph.n != self.n:
-            raise ValueError("input graph vertex count does not match network labels")
-        adj = {}
-        for e in self.edges:
-            present = (e.label in graph.edges)
-            if e.negated:
-                present = not present
-            if present:
-                adj.setdefault(e.u, []).append(e.v)
-                adj.setdefault(e.v, []).append(e.u)
-        seen = {self.s_node}
-        queue = deque([self.s_node])
-        while queue:
-            x = queue.popleft()
-            if x == self.t_node:
-                return True
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return False
+        return self.accepting_path(graph) is not None
 
-    def cut_reachability(self):
-        """For each node, the bitmask over cuts C where the node is reachable
-        from s' using only labels that do not cross C (labels in E(G(C)))."""
-        self._require_monotone()
-        full = full_cut_mask(self.n)
-        usable = {}
+    def _mask_dataflow(self, edge_masks, seed):
+        """For each node, the OR over s'-node walks of the AND of the masks of
+        the walk's edges, starting from `seed` at s'.  Bit i of a node's mask
+        says the node is reachable in the subnetwork of edges whose mask has
+        bit i; `edge_masks` runs parallel to `self.edges`."""
         adj = {v: [] for v in self.vertices}
-        for e in self.edges:
-            if e.label not in usable:
-                usable[e.label] = full ^ crossing_mask(self.n, e.label)
-            m = usable[e.label]
+        for e, m in zip(self.edges, edge_masks):
             adj[e.u].append((e.v, m))
             adj[e.v].append((e.u, m))
         reach = {v: 0 for v in self.vertices}
-        reach[self.s_node] = full
+        reach[self.s_node] = seed
         queue = deque([self.s_node])
         queued = {self.s_node}
         while queue:
@@ -121,6 +99,17 @@ class SwitchingNetwork:
                         queue.append(y)
         return reach
 
+    def cut_reachability(self):
+        """For each node, the bitmask over cuts C where the node is reachable
+        from s' using only labels that do not cross C (labels in E(G(C)))."""
+        self._require_monotone()
+        full = full_cut_mask(self.n)
+        usable = {}
+        for e in self.edges:
+            if e.label not in usable:
+                usable[e.label] = full ^ crossing_mask(self.n, e.label)
+        return self._mask_dataflow([usable[e.label] for e in self.edges], full)
+
     def is_sound(self) -> bool:
         """No cut C has an s'-t' path labeled within E(G(C))."""
         return self.cut_reachability()[self.t_node] == 0
@@ -130,17 +119,28 @@ class SwitchingNetwork:
         reach_t = self.cut_reachability()[self.t_node]
         if reach_t == 0:
             return None
-        cut = (reach_t & -reach_t).bit_length() - 1
-        return cut
+        return (reach_t & -reach_t).bit_length() - 1
 
     def is_complete_for(self, family) -> bool:
-        return all(self.accepts(g) for g in family)
+        return self.completeness_counterexample(family) is None
 
     def completeness_counterexample(self, family):
-        for g in family:
-            if not self.accepts(g):
-                return g
-        return None
+        """The first member of the family the network rejects, or None.
+
+        One dataflow pass decides the whole family: bit i of a label's mask
+        says whether family[i] contains that label."""
+        family = list(family)
+        contains = {}
+        for i, g in enumerate(family):
+            if g.n != self.n:
+                raise ValueError("input graph vertex count does not match network labels")
+            for label in g.edges:
+                contains[label] = contains.get(label, 0) | (1 << i)
+        full = (1 << len(family)) - 1
+        masks = [full ^ contains.get(e.label, 0) if e.negated else contains.get(e.label, 0)
+                 for e in self.edges]
+        rejected = full ^ self._mask_dataflow(masks, full)[self.t_node]
+        return family[(rejected & -rejected).bit_length() - 1] if rejected else None
 
     def reachability_functions(self):
         """node -> CutFunction with value -1 where the node is reachable, +1 otherwise."""
@@ -155,12 +155,11 @@ class SwitchingNetwork:
 
     def accepting_path(self, graph: InputGraph):
         """A list of NetEdges forming an s'-t' walk consistent with the graph, or None."""
+        if graph.n != self.n:
+            raise ValueError("input graph vertex count does not match network labels")
         adj = {}
         for e in self.edges:
-            present = (e.label in graph.edges)
-            if e.negated:
-                present = not present
-            if present:
+            if (e.label in graph.edges) != e.negated:
                 adj.setdefault(e.u, []).append((e.v, e))
                 adj.setdefault(e.v, []).append((e.u, e))
         prev = {self.s_node: None}
@@ -236,19 +235,3 @@ class SwitchingNetwork:
             for d in obj["edges"]
         ]
         return cls(obj["n"], obj["vertices"], obj["s"], obj["t"], edges)
-
-
-def accepts(network, graph):
-    return network.accepts(graph)
-
-
-def is_sound(network):
-    return network.is_sound()
-
-
-def is_complete_for(network, family):
-    return network.is_complete_for(family)
-
-
-def reachability_functions(network):
-    return network.reachability_functions()

@@ -239,10 +239,6 @@ def placement_graphs(n: int, k: int):
     return out
 
 
-def _chain_in_order(placement, position) -> bool:
-    return all(position[placement[i]] < position[placement[i + 1]] for i in range(len(placement) - 1))
-
-
 @dataclass
 class ChainLollipopResult:
     network: SwitchingNetwork
@@ -282,10 +278,12 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0, *, sample_cap: int = 200
             cands = list(permutations(range(1, n + 1)))
         else:
             cands = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(sample_cap)]
+        # A placement lies in order along an ordering exactly when it is one
+        # of the ordering's k-subsequences.
+        targets = {placements[i][0] for i in uncovered}
         best, best_score = None, -1
         for ordering in cands:
-            position = {v: i for i, v in enumerate(ordering)}
-            score = sum(1 for i in uncovered if _chain_in_order(placements[i][0], position))
+            score = len(targets.intersection(combinations(ordering, k)))
             if score > best_score:
                 best, best_score = ordering, score
         if best_score <= 0:

@@ -53,15 +53,6 @@ class InclusionMatrix:
                 m[i, j] = 1
         return m
 
-    def entry(self, i, j):
-        return 1 if j in self.row_cols[i] else 0
-
-    def apply(self, vec):
-        """P_k @ vec for a dense column-indexed sequence (exact arithmetic ok)."""
-        if len(vec) != len(self.cols):
-            raise ValueError("vector length mismatch")
-        return [sum((vec[j] for j in cols), start=Fraction(0)) for cols in self.row_cols]
-
     def write_matrix_market(self, fh):
         """Coordinate-format dump for offline inspection."""
         entries = [(i + 1, j + 1) for i, cols in enumerate(self.row_cols) for j in cols]

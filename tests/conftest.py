@@ -1,20 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from switchnet.cuts import CutFunction
-
-
-def random_sparse_function(n, rng, terms=4, max_level=None):
-    """Random sparse rational coefficients, optionally capped in level."""
-    cap = n if max_level is None else max_level
-    coeffs = {}
-    for _ in range(terms):
-        size = rng.randint(0, cap)
-        V = frozenset(rng.sample(range(1, n + 1), size))
-        coeffs[V] = coeffs.get(V, 0) + Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-    return CutFunction(n, coeffs=coeffs)
+from switchnet.cuts import CutFunction, random_sparse_function  # noqa: F401  (tests import it from here)
 
 
 def pointwise_product(f, g):

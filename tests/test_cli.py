@@ -157,6 +157,36 @@ class TestWorkers:
         assert reports[0] == reports[1]
 
 
+class TestMalformedInput:
+    """A bad input file exits 2 with one JSON error line on stderr."""
+
+    NET = {"n": 2, "vertices": ["a", "b"], "s": "a", "t": "b",
+           "edges": [{"u": "a", "v": "b", "label": ["s", 1]}]}
+
+    @pytest.mark.parametrize("command,flag,text", [
+        ("pebble", "--graph", json.dumps({"n": 3})),
+        ("pebble", "--graph", '{"n": 3, "edges": [["s", 1], [1,'),
+        ("pebble", "--graph", json.dumps({"n": 2, "edges": [["s", 7]]})),
+        ("verify-network", "--net", json.dumps({k: v for k, v in NET.items() if k != "s"})),
+        ("verify-network", "--net", json.dumps(NET)[:-5]),
+        ("verify-network", "--net", json.dumps({**NET, "edges": [{"u": "a", "v": "b", "label": ["s", 9]}]})),
+    ], ids=["graph-missing-key", "graph-truncated", "graph-vertex-out-of-range",
+            "net-missing-key", "net-truncated", "net-label-out-of-range"])
+    def test_exits_two(self, tmp_path, capsys, command, flag, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        args = [command, flag, bad]
+        if command == "pebble":
+            args.append("--min")
+        else:
+            graph = tmp_path / "g.json"
+            graph.write_text(json.dumps(InputGraph(2, set()).to_json()))
+            args += ["--graph", graph]
+        assert run(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+
 class TestReproducibility:
     def test_reports_identical_modulo_timestamp(self, tmp_path, capsys):
         graph = chain_with_lollipops(4, 2)

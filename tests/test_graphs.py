@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -134,7 +135,31 @@ class TestConstruction:
         assert len(all_distinct_permuted_copies(chain_with_lollipops(4, 2))) == 12
 
 
-def _random_graph(n, rng, acyclic=False):
+def _walked_copies(graph):
+    """Oracle: walk all n! permutations, keeping each copy at its first sigma."""
+    seen = {}
+    for sigma in Permutation.all(graph.n):
+        g = graph.permuted(sigma)
+        seen.setdefault(g.edges, g)
+    return list(seen.values())
+
+
+class TestOrbitEnumeration:
+    def test_matches_permutation_walk_on_random_graphs(self, rng):
+        for _ in range(120):
+            n = rng.randint(0, 6)
+            g = _random_graph(n, rng, acyclic=rng.random() < 0.5, p=rng.choice([0.05, 0.15, 0.3, 0.6]))
+            assert all_distinct_permuted_copies(g) == _walked_copies(g)
+
+    @pytest.mark.parametrize("n,k", [(7, 3), (6, 1), (5, 5)])
+    def test_matches_permutation_walk_on_chain_with_lollipops(self, n, k):
+        g = chain_with_lollipops(n, k)
+        copies = all_distinct_permuted_copies(g)
+        assert copies == _walked_copies(g)
+        assert len(copies) == math.perm(n, k)
+
+
+def _random_graph(n, rng, acyclic=False, p=0.3):
     verts = ["s"] + list(range(1, n + 1)) + ["t"]
     edges = set()
     for i, u in enumerate(verts):
@@ -143,6 +168,6 @@ def _random_graph(n, rng, acyclic=False):
                 continue
             if acyclic and j <= i:
                 continue
-            if rng.random() < 0.3:
+            if rng.random() < p:
                 edges.add((u, v))
     return InputGraph(n, edges)

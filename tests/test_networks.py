@@ -95,6 +95,30 @@ class TestCompleteness:
         g = InputGraph(2, {("s", 2), (2, "t")})
         assert TWO_STEP.completeness_counterexample([g]) == g
 
+    def test_family_dataflow_matches_per_member_paths(self, rng):
+        """Oracle: one accepting_path BFS per member; the counterexample must
+        be the first member it rejects.  Networks lose random edges, and one
+        edge is negated, so both outcomes and negated labels are exercised."""
+        base = build_chain_lollipop(4, 2, seed=0).network
+        family = all_distinct_permuted_copies(chain_with_lollipops(4, 2))
+        outcomes = set()
+        for trial in range(40):
+            keep = [e for e in base.edges if rng.random() < 0.9]
+            if trial % 2 and keep:
+                i = rng.randrange(len(keep))
+                e = keep[i]
+                keep[i] = NetEdge(e.u, e.v, e.label, negated=True)
+            net = SwitchingNetwork(base.n, base.vertices, base.s_node, base.t_node, keep)
+            first = next((g for g in family if net.accepting_path(g) is None), None)
+            assert net.completeness_counterexample(family) == first
+            assert net.is_complete_for(family) == (first is None)
+            outcomes.add(first is None)
+        assert outcomes == {True, False}
+
+    def test_vertex_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            TWO_STEP.is_complete_for([InputGraph(3, set())])
+
 
 class TestReachabilityFunctions:
     def test_source_is_minus_one(self):
