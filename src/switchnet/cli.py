@@ -43,9 +43,14 @@ def _emit(report, path=None):
     print(text)
 
 
-class InputFileError(Exception):
-    """An input file that cannot be read or does not describe a valid object;
-    reported as a usage error."""
+class UsageError(Exception):
+    """A parameter outside its command's domain, or an input file that cannot
+    be read or does not describe a valid object; exits 2."""
+
+
+def _require(ok, message):
+    if not ok:
+        raise UsageError(message)
 
 
 def _load(path, from_json):
@@ -53,7 +58,7 @@ def _load(path, from_json):
         with open(path) as fh:
             return from_json(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise InputFileError(f"cannot read {path}: {exc!r}") from exc
+        raise UsageError(f"cannot read {path}: {exc!r}") from exc
 
 
 def _load_graph(path):
@@ -100,6 +105,7 @@ def _detect_chain(graph):
 
 
 def cmd_build_upper(args):
+    _require(args.z >= 1, f"need --z >= 1, got {args.z}")
     graph = _load_graph(args.graph)
     if args.mode == "chain":
         k = _detect_chain(graph)
@@ -143,6 +149,7 @@ def cmd_build_upper(args):
 
 
 def cmd_build_base(args):
+    _require(args.z >= 1, f"need --z >= 1, got {args.z}")
     graph = _load_graph(args.graph)
     try:
         g, table, diag = lowerbound.build_base_function(graph, args.z, seed=args.seed)
@@ -165,6 +172,7 @@ def cmd_build_base(args):
 
 
 def cmd_certify_lower(args):
+    _require(args.z >= 1, f"need --z >= 1, got {args.z}")
     graph = _load_graph(args.graph)
     hypotheses = lowerbound.low_connectivity_hypotheses(graph, args.z)
     try:
@@ -227,6 +235,7 @@ def cmd_pebble(args):
 
 
 def cmd_spectra(args):
+    _require(0 <= args.k and 2 * args.k < args.n, f"need 0 <= k < n/2, got k={args.k}, n={args.n}")
     spectrum = spectral.johnson_spectrum(args.n, args.k)
     import numpy as np
 
@@ -271,6 +280,8 @@ def cmd_verify_permutation_average(args):
 
 
 def cmd_formulas(args):
+    _require(args.k >= 1 and args.z >= 1 and args.n >= 2,
+             f"need k >= 1, z >= 1, n >= 2, got k={args.k}, z={args.z}, n={args.n}")
     rec = parity.upper_bound_formulas(args.k, args.z, args.n)
     _emit(_report(rec.to_json(), seed=args.seed), args.out)
     return EXIT_OK
@@ -362,7 +373,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(json.dumps({"error": f"cannot read {exc.filename}"}), file=sys.stderr)
         return EXIT_USAGE
-    except InputFileError as exc:
+    except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, json.JSONDecodeError) as exc:

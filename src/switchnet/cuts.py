@@ -57,7 +57,8 @@ def _pack_bool_vector(bits) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-@lru_cache(maxsize=None)
+# 1024 entries outnumber the 273 edge labels at n = 16 and cap a cache at 8 MiB
+@lru_cache(maxsize=1024)
 def crossing_mask(n: int, edge) -> int:
     """Bitmask over all 2**n cuts with bit C set iff the edge crosses C."""
     import numpy as np
@@ -73,7 +74,7 @@ def crossing_mask(n: int, edge) -> int:
     return _pack_bool_vector(tail_left & head_right)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def parity_mask(n: int, vmask: int) -> int:
     """Bitmask over cuts with bit C set iff |V & L(C)| is odd (V as bitmask)."""
     import numpy as np

@@ -11,9 +11,10 @@ reduction gadgets cover a general core subgraph embedded among lollipops.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
 
 from .cuts import (
     CutFunction,
@@ -28,6 +29,27 @@ from .networks import NetEdge, SwitchingNetwork
 from .pebbles import can_win_through, is_winning, network_from_states, winning_play
 
 ONE = "ONE"  # canonical form of the constant +1 function
+CHAIN_SAMPLE_CAP = 2000  # orderings drawn per cover round when n > 8
+PARTITION_SAMPLE_CAP = 4000  # partitions drawn per round above 50 000 candidates
+
+
+class BoundExceeded(ValueError):
+    """A construction outgrew the size bound it is proved to meet."""
+
+
+def _greedy_pick(masks, uncovered, bounds):
+    """Lowest index maximising (masks[i] & uncovered).bit_count(), or None when
+    every score is 0.  bounds[i] >= candidate i's score is lowered to the score
+    when i is scored, and i is skipped when it cannot beat the best so far.
+    Scores only fall as `uncovered` shrinks, so bounds kept across rounds give
+    the eager first-max pick (Minoux's accelerated greedy)."""
+    best, best_score = None, 0
+    for i, mask in enumerate(masks):
+        if bounds[i] > best_score:
+            score = bounds[i] = (mask & uncovered).bit_count()
+            if score > best_score:
+                best, best_score = i, score
+    return best
 
 
 def _char(sign, vertices):
@@ -252,16 +274,14 @@ class ChainLollipopResult:
         return self.network.size
 
 
-def build_chain_lollipop(n: int, k: int, seed: int = 0, *, sample_cap: int = 2000) -> ChainLollipopResult:
+def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
     """Greedy nested-prefix state cover for the chain-with-lollipops family,
     emitted as a switching network of size at most k! k n lg n.
 
     Candidate vertex orderings are enumerated exhaustively for n <= 8 and
-    sampled (seeded) above that; each round keeps the ordering whose prefix
-    states cover the most remaining placements, re-scored exactly.
+    sampled (seeded, CHAIN_SAMPLE_CAP per round) above that; each round keeps
+    the first ordering whose prefix states cover the most remaining placements.
     """
-    import random
-
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     rng = random.Random(seed)
@@ -270,33 +290,36 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0, *, sample_cap: int = 200
     states = set()
     orderings = []
 
-    def prefix_states(ordering):
-        return [frozenset(ordering[: j + 1]) for j in range(len(ordering))]
-
-    while uncovered:
-        if n <= 8:
-            cands = list(permutations(range(1, n + 1)))
-        else:
-            cands = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(sample_cap)]
+    def masks_of(cands, keep):
         # A placement lies in order along an ordering exactly when it is one
-        # of the ordering's k-subsequences.
-        targets = {placements[i][0] for i in uncovered}
-        best, best_score = None, -1
-        for ordering in cands:
-            score = len(targets.intersection(combinations(ordering, k)))
-            if score > best_score:
-                best, best_score = ordering, score
-        if best_score <= 0:
+        # of the ordering's k-subsequences; distinct bits sum to their union.
+        bit = {placements[i][0]: 1 << i for i in keep}
+        return [sum(map(bit.get, combinations(o, k), repeat(0))) for o in cands]
+
+    if n <= 8:
+        cands = list(permutations(range(1, n + 1)))
+        masks = masks_of(cands, uncovered)
+        bounds = [len(placements)] * len(cands)
+    while uncovered:
+        if n > 8:
+            cands = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(CHAIN_SAMPLE_CAP)]
+            masks = masks_of(cands, uncovered)
+            bounds = [len(placements)] * len(cands)
+        pick = _greedy_pick(masks, sum(1 << i for i in uncovered), bounds)
+        if pick is None:
             raise RuntimeError("no ordering covers any remaining placement")
+        best = cands[pick]
         orderings.append(best)
-        states.update(prefix_states(best))
+        states.update(frozenset(best[: j + 1]) for j in range(n))
+        # placements the ordering contains win along its prefixes; test the rest
         uncovered = [
-            i for i in uncovered if not can_win_through(placements[i][1], states)
+            i for i in uncovered
+            if not masks[pick] >> i & 1 and not can_win_through(placements[i][1], states)
         ]
 
     bound = math.factorial(k) * k * n * math.log2(n)
     if len(states) > bound:
-        raise AssertionError(f"cover of {len(states)} states exceeds the bound {bound:.1f}")
+        raise BoundExceeded(f"cover of {len(states)} states exceeds the bound {bound:.1f}")
     network = network_from_states(states, n)
     return ChainLollipopResult(
         network=network,
@@ -347,48 +370,51 @@ def partition_matches(partition, placement, state) -> bool:
     return True
 
 
-def build_partition_family(n: int, k: int, z: int, seed: int = 0, *, sample_cap: int = 4000):
+def build_partition_family(n: int, k: int, z: int, seed: int = 0):
     """Greedy family of ordered equal partitions such that every pebble state
     with at most z pebbled positions is matched, under every injective
-    placement, by some family member.  Size is asserted against
-    2 (4k)^z k lg n.
+    placement, by some family member.  Size is checked against
+    2 (4k)^z k lg n.  Candidates are every ordered equal partition, or
+    PARTITION_SAMPLE_CAP seeded shuffles per round above 50 000 of them.
     """
-    import random
-
     if n % k:
         raise ValueError("need k | n")
     if not 1 <= z <= k:
         raise ValueError("need 1 <= z <= k")
     rng = random.Random(seed)
-    placements = list(permutations(range(1, n + 1), k))
     states = [frozenset(c) for c in combinations(range(1, k + 1), z)]
-    uncovered = {(tau, st) for tau in placements for st in states}
+    pairs = [(tau, st) for tau in permutations(range(1, n + 1), k) for st in states]
+    uncovered = (1 << len(pairs)) - 1
+
+    def masks_of(cands):
+        live = [j for j in range(len(pairs)) if uncovered >> j & 1]
+        return [sum(1 << j for j in live if partition_matches(part, *pairs[j])) for part in cands]
 
     exhaustive = equal_partition_count(n, k) <= 50_000
+    if exhaustive:
+        cands = list(_iter_equal_partitions(n, k))
+        masks = masks_of(cands)
+        bounds = [len(pairs)] * len(cands)
     family = []
     while uncovered:
-        if exhaustive:
-            cands = _iter_equal_partitions(n, k)
-        else:
+        if not exhaustive:
             base = list(range(1, n + 1))
             cands = []
             b = n // k
-            for _ in range(sample_cap):
+            for _ in range(PARTITION_SAMPLE_CAP):
                 rng.shuffle(base)
                 cands.append(tuple(frozenset(base[i * b : (i + 1) * b]) for i in range(k)))
-        best, best_score = None, -1
-        for part in cands:
-            score = sum(1 for tau, st in uncovered if partition_matches(part, tau, st))
-            if score > best_score:
-                best, best_score = part, score
-        if best_score <= 0:
+            masks = masks_of(cands)
+            bounds = [len(pairs)] * len(cands)
+        pick = _greedy_pick(masks, uncovered, bounds)
+        if pick is None:
             raise RuntimeError("no partition matches any remaining (placement, state) pair")
-        family.append(best)
-        uncovered = {(tau, st) for tau, st in uncovered if not partition_matches(best, tau, st)}
+        family.append(cands[pick])
+        uncovered &= ~masks[pick]
 
     bound = 2 * (4 * k) ** z * k * math.log2(max(n, 2))
     if len(family) > bound:
-        raise AssertionError(f"family of {len(family)} partitions exceeds the bound {bound:.1f}")
+        raise BoundExceeded(f"family of {len(family)} partitions exceeds the bound {bound:.1f}")
     return family
 
 
@@ -576,7 +602,7 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
     r = max(len(states), 1)
     h_bound = 2 * z * 2**z * r * x * n * math.log2(max(n, 2)) * (2 * x + 4 + z * n)
     if network.size > h_bound:
-        raise AssertionError(f"|H| = {network.size} exceeds the bound {h_bound:.1f}")
+        raise BoundExceeded(f"|H| = {network.size} exceeds the bound {h_bound:.1f}")
 
     return GeneralNetworkResult(
         network=network,

@@ -1,6 +1,6 @@
 """The reversible pebble game: legal moves, minimum pebble number, the
-recursive-halving strategy for paths, state-set covers, and the standard
-translation of a state set into a switching network.
+recursive-halving strategy for paths, and the standard translation of a
+state set into a switching network.
 
 A game state is the frozenset of pebbled vertices among {1..n} plus
 possibly 't'; s always carries a pebble.  A pebble may be added to or
@@ -157,49 +157,6 @@ def can_win_through(graph: InputGraph, allowed) -> bool:
     return False
 
 
-def greedy_state_cover(family, k: int, *, candidate_batches=None, rng=None, max_rounds=10_000):
-    """Batches of game states whose union lets every family member win while
-    passing only through covered states.
-
-    Candidates default to each uncovered member's own minimal winning play;
-    a builder may supply richer batches (e.g. nested vertex-order prefixes).
-    Each round adds the batch newly covering the most members, re-scored
-    exactly; coverage must strictly improve every round.
-    """
-    family = list(family)
-    for g in family:
-        if winning_play(g, k) is None:
-            raise ValueError(f"family member not winnable within {k} pebbles: {g!r}")
-
-    chosen = []
-    covered_states = set()
-    uncovered = [g for g in family]
-    rounds = 0
-    while uncovered:
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError("cover did not converge")
-        if candidate_batches is not None:
-            cands = list(candidate_batches(uncovered, rng))
-        else:
-            cands = []
-            for g in uncovered:
-                play = winning_play(g, k)
-                cands.append(frozenset(st for st in play if st and not is_winning(st)))
-        best_batch, best_score = None, -1
-        for batch in cands:
-            trial = covered_states | set(batch)
-            score = sum(1 for g in uncovered if can_win_through(g, trial))
-            if score > best_score:
-                best_batch, best_score = batch, score
-        if not best_batch or best_score <= 0:
-            raise RuntimeError("no candidate batch makes progress")
-        chosen.append(frozenset(best_batch))
-        covered_states |= set(best_batch)
-        uncovered = [g for g in uncovered if not can_win_through(g, covered_states)]
-    return chosen
-
-
 def network_from_states(states, n: int) -> SwitchingNetwork:
     """One network node per state plus s' (the empty state) and t' (winning,
     collapsed); edges are the legal toggles between represented states, one
@@ -224,8 +181,9 @@ def network_from_states(states, n: int) -> SwitchingNetwork:
     state_set = set(all_states)
     for st in all_states:
         pebbled = _pebbled_with_s(st)
+        # sorted: the set order of "s" among ints varies with PYTHONHASHSEED
         # winning toggles: add a pebble on t
-        for v in pebbled:
+        for v in sorted(pebbled, key=str):
             if v != "t":
                 key = (name[st], t_node, (v, "t"))
                 if key not in seen:
@@ -235,7 +193,7 @@ def network_from_states(states, n: int) -> SwitchingNetwork:
             nxt = frozenset(set(st) ^ {w})
             if nxt not in state_set:
                 continue
-            for v in pebbled - {w}:
+            for v in sorted(pebbled - {w}, key=str):
                 key = (name[st], name[nxt], (v, w))
                 rkey = (name[nxt], name[st], (v, w))
                 if key in seen or rkey in seen:

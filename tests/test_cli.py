@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from switchnet import parity
 from switchnet.cli import main
 from switchnet.graphs import InputGraph, chain_with_lollipops
 from switchnet.parity import build_chain_lollipop
@@ -185,6 +186,36 @@ class TestMalformedInput:
         assert run(args) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
+
+
+class TestParameterDomain:
+    """A parameter outside its command's domain is a usage error: exit 2 and
+    one JSON error line on stderr, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectra", "--n", 4, "--k", 3],
+        ["formulas", "--k", 0, "--z", 1, "--n", 4],
+        ["build-base", "--graph", "g.json", "--z", 0],
+        ["certify-lower", "--graph", "g.json", "--z", 0],
+        ["build-upper", "--mode", "general", "--graph", "g.json", "--z", 0],
+    ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z"])
+    def test_exits_two(self, tmp_path, capsys, argv):
+        (tmp_path / "g.json").write_text(json.dumps(chain_with_lollipops(4, 2).to_json()))
+        assert run([tmp_path / a if a == "g.json" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and "error" in json.loads(err[0])
+
+
+class TestBoundOverrun:
+    def test_exits_one_with_json_error(self, chain_files, monkeypatch, capsys):
+        # a cover larger than its proved bound is a violation, not a crash
+        monkeypatch.setattr(parity.math, "log2", lambda x: 0)
+        gpath, _ = chain_files
+        assert run(["build-upper", "--mode", "chain", "--graph", gpath]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "exceeds the bound" in json.loads(err[0])["error"]
 
 
 class TestReproducibility:

@@ -1,12 +1,17 @@
 import math
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from switchnet.cuts import CutFunction, Permutation, edge_crosses, iter_cuts
 from switchnet.graphs import InputGraph, all_distinct_permuted_copies
+from switchnet.pebbles import can_win_through
+from switchnet import parity
 from switchnet.parity import (
     ONE,
+    BoundExceeded,
     InfeasibleParameters,
     KFunction,
     accepting_walk,
@@ -16,10 +21,13 @@ from switchnet.parity import (
     build_partition_family,
     can_go,
     canonical_chars,
+    _greedy_pick,
+    _iter_equal_partitions,
     default_z,
     kf_value,
     match_probability_lower_bound,
     partition_matches,
+    placement_graphs,
     reduction_char_path,
     reduction_char_sets,
     reduction_functions,
@@ -184,7 +192,6 @@ class TestChainLollipopBuilder:
         # with exhaustive candidate orderings the greedy beats the k!-average
         n, k = 5, 2
         res = build_chain_lollipop(n, k, seed=0)
-        from switchnet.pebbles import can_win_through
 
         uncovered = list(range(len(res.placements)))
         states = set()
@@ -242,6 +249,149 @@ class TestPartitionFamily:
     def test_divisibility_required(self):
         with pytest.raises(ValueError):
             build_partition_family(5, 2, 1)
+
+
+def eager_pick(masks, uncovered):
+    """Reference first-max pick: every candidate scored, ties to the first."""
+    best, best_score = None, -1
+    for i, mask in enumerate(masks):
+        score = bin(mask & uncovered).count("1")
+        if score > best_score:
+            best, best_score = i, score
+    return best if best_score > 0 else None
+
+
+def eager_chain_cover(n, k, seed=0):
+    """The nested-prefix cover re-scoring every ordering against every
+    uncovered placement in every round; returns (orderings, states)."""
+    rng = random.Random(seed)
+    placements = placement_graphs(n, k)
+    uncovered = list(range(len(placements)))
+    states, orderings = set(), []
+    while uncovered:
+        if n <= 8:
+            cands = list(permutations(range(1, n + 1)))
+        else:
+            cands = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(parity.CHAIN_SAMPLE_CAP)]
+        targets = {placements[i][0] for i in uncovered}
+        best, best_score = None, -1
+        for ordering in cands:
+            score = len(targets.intersection(combinations(ordering, k)))
+            if score > best_score:
+                best, best_score = ordering, score
+        assert best_score > 0
+        orderings.append(best)
+        states.update(frozenset(best[: j + 1]) for j in range(n))
+        uncovered = [i for i in uncovered if not can_win_through(placements[i][1], states)]
+    return orderings, states
+
+
+def eager_partition_family(n, k, z, seed=0):
+    """The partition family re-scoring every candidate against every
+    uncovered (placement, state) pair in every round."""
+    rng = random.Random(seed)
+    states = [frozenset(c) for c in combinations(range(1, k + 1), z)]
+    uncovered = {(tau, st) for tau in permutations(range(1, n + 1), k) for st in states}
+    family = []
+    while uncovered:
+        if parity.equal_partition_count(n, k) <= 50_000:
+            cands = _iter_equal_partitions(n, k)
+        else:
+            base, cands, b = list(range(1, n + 1)), [], n // k
+            for _ in range(parity.PARTITION_SAMPLE_CAP):
+                rng.shuffle(base)
+                cands.append(tuple(frozenset(base[i * b : (i + 1) * b]) for i in range(k)))
+        best, best_score = None, -1
+        for part in cands:
+            score = sum(1 for tau, st in uncovered if partition_matches(part, tau, st))
+            if score > best_score:
+                best, best_score = part, score
+        assert best_score > 0
+        family.append(best)
+        uncovered = {(tau, st) for tau, st in uncovered if not partition_matches(best, tau, st)}
+    return family
+
+
+class TestGreedyPick:
+    def test_matches_eager_on_random_masks(self, rng):
+        for _ in range(200):
+            width = rng.randint(1, 40)
+            masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 12))]
+            uncovered = rng.getrandbits(width)
+            assert _greedy_pick(masks, uncovered, [width] * len(masks)) == eager_pick(masks, uncovered)
+
+    def test_ties_go_to_the_lowest_index(self):
+        masks = [0b0001, 0b0110, 0b0011, 0b1100]
+        assert _greedy_pick(masks, 0b1111, [4] * 4) == 1
+        # a later candidate whose bound only equals the best is not taken
+        assert _greedy_pick(masks, 0b1111, [4, 2, 2, 2]) == 1
+
+    def test_all_zero_scores_give_none(self):
+        assert _greedy_pick([], 0b111, []) is None
+        assert _greedy_pick([0b001, 0b010], 0b100, [3, 3]) is None
+        assert _greedy_pick([0b001, 0b010], 0, [3, 3]) is None
+
+    def test_bounds_carried_across_shrinking_rounds(self, rng):
+        # uncovered loses the picked bits and sometimes more, as when a cover
+        # step removes items its mask did not count
+        for _ in range(60):
+            width = rng.randint(1, 60)
+            masks = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(rng.randint(1, 30))]
+            bounds = [width] * len(masks)
+            uncovered = (1 << width) - 1
+            while True:
+                want = eager_pick(masks, uncovered)
+                pick = _greedy_pick(masks, uncovered, bounds)
+                assert pick == want
+                assert all(b >= (m & uncovered).bit_count() for m, b in zip(masks, bounds))
+                if pick is None:
+                    break
+                uncovered &= ~masks[pick]
+                if rng.random() < 0.3:
+                    uncovered &= rng.getrandbits(width)
+
+
+class TestBuildersMatchEagerOracles:
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 5), (6, 2), (7, 3), (8, 2), (9, 2), (12, 2), (16, 1)])
+    def test_chain_cover(self, n, k):
+        res = build_chain_lollipop(n, k, seed=0)
+        assert (res.orderings, res.states) == eager_chain_cover(n, k, seed=0)
+
+    @pytest.mark.parametrize("n,k,z", [(4, 2, 1), (6, 2, 2), (6, 3, 2), (8, 2, 2)])
+    def test_partition_family(self, n, k, z):
+        assert build_partition_family(n, k, z, seed=0) == eager_partition_family(n, k, z, seed=0)
+
+    @pytest.mark.parametrize("n,k,z,seed", [(6, 2, 2, 0), (6, 3, 2, 5)])
+    def test_sampled_partition_family(self, monkeypatch, n, k, z, seed):
+        # the sampled path only starts above 50 000 candidates, far beyond a
+        # quick test; force it on small instances with a small sample
+        monkeypatch.setattr(parity, "equal_partition_count", lambda n, k: 10**9)
+        monkeypatch.setattr(parity, "PARTITION_SAMPLE_CAP", 40)
+        assert build_partition_family(n, k, z, seed=seed) == eager_partition_family(n, k, z, seed=seed)
+
+
+class TestBoundOverrun:
+    """Each builder's size check raises BoundExceeded once its bound is
+    pushed to 0 (lg n patched to 0)."""
+
+    GRAPH = InputGraph(6, {("s", 1), (1, 2), (2, "t"), ("s", 3), ("s", 4), ("s", 5), ("s", 6)})
+
+    def test_chain_cover(self, monkeypatch):
+        monkeypatch.setattr(parity.math, "log2", lambda x: 0)
+        with pytest.raises(BoundExceeded, match="states exceeds the bound"):
+            build_chain_lollipop(4, 1, seed=0)
+
+    def test_partition_family(self, monkeypatch):
+        monkeypatch.setattr(parity.math, "log2", lambda x: 0)
+        with pytest.raises(BoundExceeded, match="partitions exceeds the bound"):
+            build_partition_family(4, 2, 1, seed=0)
+
+    def test_general_network(self, monkeypatch):
+        family = build_partition_family(6, 2, 2, seed=0)
+        monkeypatch.setattr(parity, "build_partition_family", lambda *args: family)
+        monkeypatch.setattr(parity.math, "log2", lambda x: 0)
+        with pytest.raises(BoundExceeded, match=r"\|H\| = \d+ exceeds the bound"):
+            build_general_network(self.GRAPH, [1, 2], z=2, seed=0)
 
 
 class TestGeneralBuilder:
