@@ -4,7 +4,8 @@ Commands: verify-network, build-upper, build-base, certify-lower, pebble,
 spectra, verify-permutation-average, formulas.  Every report records the
 seed and arithmetic mode; identical configs reproduce byte-identical
 reports apart from the timestamp.  Exit codes: 0 success, 1 property
-violation / hypothesis failure, 2 usage error.
+violation / hypothesis failure, 2 usage error (including an unreadable
+input file or an --out path that cannot be written).
 
 Environment overrides: SWITCHNET_TOL (float tolerance).  SWITCHNET_WORKERS
 and --workers are still accepted for compatibility but select nothing:
@@ -16,6 +17,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 from . import lowerbound, parity, pebbles, spectral
@@ -35,17 +37,29 @@ def _report(payload, seed=None, mode="exact-rational"):
     return out
 
 
+class UsageError(Exception):
+    """A parameter outside its command's domain, an input file that cannot
+    be read or does not describe a valid object, or an --out file that
+    cannot be written; exits 2."""
+
+
+@contextmanager
+def _out(path):
+    """The --out file opened for writing; a failure to open or write it is
+    a UsageError."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc!r}") from exc
+
+
 def _emit(report, path=None):
     text = json.dumps(report, indent=2, default=str)
     if path:
-        with open(path, "w") as fh:
+        with _out(path) as fh:
             fh.write(text + "\n")
     print(text)
-
-
-class UsageError(Exception):
-    """A parameter outside its command's domain, or an input file that cannot
-    be read or does not describe a valid object; exits 2."""
 
 
 def _require(ok, message):
@@ -139,7 +153,7 @@ def cmd_build_upper(args):
             payload["complete"] = net.is_complete_for(family)
             payload["family_size"] = len(family)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _out(args.out) as fh:
             json.dump(net.to_json(), fh, indent=2)
         payload["network_file"] = args.out
     report = _report(payload, seed=args.seed)
@@ -157,7 +171,7 @@ def cmd_build_base(args):
         _emit(_report({"error": str(exc)}, seed=args.seed))
         return EXIT_VIOLATION
     if args.out:
-        with open(args.out, "w") as fh:
+        with _out(args.out) as fh:
             json.dump(table.to_json(), fh, indent=2)
     report = _report(
         {
@@ -273,7 +287,7 @@ def cmd_verify_permutation_average(args):
         rows.append(f"{trial},{lhs},{rhs},{diff}")
     csv_text = "\n".join(rows)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _out(args.out) as fh:
             fh.write(csv_text + "\n")
     print(csv_text)
     return EXIT_OK if all_equal else EXIT_VIOLATION
@@ -370,9 +384,6 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": f"cannot read {exc.filename}"}), file=sys.stderr)
-        return EXIT_USAGE
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE

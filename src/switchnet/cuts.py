@@ -51,40 +51,34 @@ def edge_crosses(edge, cut: int) -> bool:
     return bool(tail_left and head_right)
 
 
-def _pack_bool_vector(bits) -> int:
-    import numpy as np
-
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _left_mask(n: int, v: int) -> int:
+    """Bitmask over all 2**n cuts with bit C set iff vertex v is in L(C):
+    runs of 2**(v-1) clear then set bits, repeated across the cut space.
+    Built in int arithmetic, so no 2**n-element array is allocated."""
+    run = 1 << (v - 1)
+    return (((1 << run) - 1) << run) * (full_cut_mask(n) // ((1 << 2 * run) - 1))
 
 
 # 1024 entries outnumber the 273 edge labels at n = 16 and cap a cache at 8 MiB
 @lru_cache(maxsize=1024)
 def crossing_mask(n: int, edge) -> int:
     """Bitmask over all 2**n cuts with bit C set iff the edge crosses C."""
-    import numpy as np
-
     tail, head = edge
-    cuts = np.arange(1 << n, dtype=np.uint32)
-    if tail == "t":
+    if tail == "t" or head == "s":
         return 0
-    tail_left = np.ones(1 << n, bool) if tail == "s" else ((cuts >> (tail - 1)) & 1).astype(bool)
-    if head == "s":
-        return 0
-    head_right = np.ones(1 << n, bool) if head == "t" else ~((cuts >> (head - 1)) & 1).astype(bool)
-    return _pack_bool_vector(tail_left & head_right)
+    full = full_cut_mask(n)
+    left = full if tail == "s" else _left_mask(n, tail)
+    return left & (full if head == "t" else full ^ _left_mask(n, head))
 
 
 @lru_cache(maxsize=1024)
 def parity_mask(n: int, vmask: int) -> int:
     """Bitmask over cuts with bit C set iff |V & L(C)| is odd (V as bitmask)."""
-    import numpy as np
-
-    cuts = np.arange(1 << n, dtype=np.uint32)
-    parity = np.zeros(1 << n, bool)
+    parity = 0
     for b in range(n):
         if (vmask >> b) & 1:
-            parity ^= ((cuts >> b) & 1).astype(bool)
-    return _pack_bool_vector(parity)
+            parity ^= _left_mask(n, b + 1)
+    return parity
 
 
 def full_cut_mask(n: int) -> int:
@@ -375,43 +369,50 @@ def _nondegenerate(edge, n):
     return True
 
 
+def nonzero_mask(values) -> int:
+    """Bitmask over cuts with bit C set iff values[C] is nonzero."""
+    import numpy as np
+
+    bits = np.packbits(np.fromiter(map(bool, values), bool), bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
+
+
 def invariant_by_values(g: CutFunction, edge) -> bool:
-    """g(C) = 0 on every cut crossed by the edge (all-cuts sweep)."""
-    vals = g.values
-    for c in iter_cuts(g.n):
-        if edge_crosses(edge, c) and vals[c] != 0:
-            return False
-    return True
+    """g(C) = 0 on every cut crossed by the edge, as bitmasks over all cuts."""
+    return nonzero_mask(g.values) & crossing_mask(g.n, tuple(edge)) == 0
+
+
+def relation_violations(g: CutFunction, edge, below=None):
+    """Bases V, disjoint from the edge's middle endpoints, at which g breaks
+    the edge's invariance relation sum of sign * c(V + D) = 0, D ranging over
+    subsets of the endpoints:
+
+        s->w:   c(V+w) = -c(V)
+        v->t:   c(V+v) =  c(V)
+        v->w:   c(V+v+w) = -c(V+v) + c(V+w) + c(V)
+
+    With `below`, only bases whose top set V + endpoints has fewer than
+    `below` vertices.  Lazily generated."""
+    tail, head = edge
+    if tail == "s":
+        terms = ((frozenset([head]), 1), (frozenset(), 1))
+    elif head == "t":
+        terms = ((frozenset([tail]), 1), (frozenset(), -1))
+    else:
+        terms = ((frozenset([tail, head]), 1), (frozenset([tail]), 1),
+                 (frozenset([head]), -1), (frozenset(), -1))
+    mids = terms[0][0]
+    co = g.coeffs
+    for V in {V - mids for V in co}:
+        if below is not None and len(V | mids) >= below:
+            continue
+        if sum(sign * co.get(V | D, 0) for D, sign in terms) != 0:
+            yield V
 
 
 def invariant_by_coeffs(g: CutFunction, edge) -> bool:
-    """Coefficient-domain invariance test, case-split on the edge shape.
-
-    s->w:   coeff(V + w) = -coeff(V)  whenever w not in V
-    v->t:   coeff(V + v) =  coeff(V)  whenever v not in V
-    v->w:   coeff(V+v+w) = -coeff(V+v) + coeff(V+w) + coeff(V)  for v,w not in V
-    """
-    tail, head = edge
-    co = g.coeffs
-
-    def c(V):
-        return co.get(V, 0)
-
-    if tail == "s":
-        w = head
-        bases = {V - {w} for V in co} | set(co)
-        return all(c(V | {w}) == -c(V) for V in bases if w not in V)
-    if head == "t":
-        v = tail
-        bases = {V - {v} for V in co} | set(co)
-        return all(c(V | {v}) == c(V) for V in bases if v not in V)
-    v, w = tail, head
-    bases = {V - {v, w} for V in co}
-    return all(
-        c(V | {v, w}) == -c(V | {v}) + c(V | {w}) + c(V)
-        for V in bases
-        if v not in V and w not in V
-    )
+    """Coefficient-domain invariance test: no base breaks the edge's relation."""
+    return next(relation_violations(g, edge), None) is None
 
 
 def is_edge_invariant(g: CutFunction, edge) -> bool:

@@ -30,16 +30,11 @@ class InputGraph:
         for u, v in self.edges:
             self._succ.setdefault(u, set()).add(v)
             self._pred.setdefault(v, set()).add(u)
+        self._trees = {}
 
     @property
     def vertices(self):
         return ["s", "t"] + list(range(1, self.n + 1))
-
-    def successors(self, v):
-        return self._succ.get(v, set())
-
-    def predecessors(self, v):
-        return self._pred.get(v, set())
 
     def has_edge(self, u, v):
         return (u, v) in self.edges
@@ -47,63 +42,45 @@ class InputGraph:
     def middle_vertices(self):
         return range(1, self.n + 1)
 
+    def _tree(self, source, reverse=False):
+        """BFS tree from source, along edges or against them when reverse:
+        {vertex: (distance, parent)}.  Neighbours are tried in str order, so
+        each parent, and hence shortest_st_path, is deterministic.  Memoized:
+        the graph is immutable, and no caller may see or mutate the dict."""
+        key = (source, reverse)
+        if key not in self._trees:
+            adjacency = self._pred if reverse else self._succ
+            tree = {source: (0, None)}
+            queue = deque([source])
+            while queue:
+                x = queue.popleft()
+                for w in sorted(adjacency.get(x, ()), key=str):
+                    if w not in tree:
+                        tree[w] = (tree[x][0] + 1, x)
+                        queue.append(w)
+            self._trees[key] = tree
+        return self._trees[key]
+
     def bounded_reach(self, v, depth: int):
         """Vertices reachable from v by a directed path of length <= depth (v excluded)."""
         if v not in ("s", "t") and not _valid_vertex(v, self.n):
             raise ValueError(f"unknown vertex {v!r}")
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        seen = {v: 0}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            if seen[u] == depth:
-                continue
-            for w in self._succ.get(u, ()):
-                if w not in seen:
-                    seen[w] = seen[u] + 1
-                    queue.append(w)
-        del seen[v]
-        return set(seen)
-
-    def bounded_coreach(self, v, depth: int):
-        """Vertices w with a directed path of length <= depth from w to v."""
-        seen = {v: 0}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            if seen[u] == depth:
-                continue
-            for w in self._pred.get(u, ()):
-                if w not in seen:
-                    seen[w] = seen[u] + 1
-                    queue.append(w)
-        del seen[v]
-        return set(seen)
+        return {w for w, (d, _) in self._tree(v).items() if 0 < d <= depth}
 
     def distance(self, u, v):
         """BFS edge-count distance from u to v, or None when unreachable."""
-        if u == v:
-            return 0
-        seen = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for w in self._succ.get(x, ()):
-                if w not in seen:
-                    seen[w] = seen[x] + 1
-                    if w == v:
-                        return seen[w]
-                    queue.append(w)
-        return None
+        entry = self._tree(u).get(v)
+        return None if entry is None else entry[0]
 
     def linkage_degree(self, depth: int) -> int:
         """max over vertices v of |{w != v : v reaches w or w reaches v within depth}|."""
-        best = 0
-        for v in self.vertices:
-            linked = self.bounded_reach(v, depth) | self.bounded_coreach(v, depth)
-            best = max(best, len(linked))
-        return best
+        return max(
+            len({w for reverse in (False, True)
+                 for w, (d, _) in self._tree(v, reverse).items() if 0 < d <= depth})
+            for v in self.vertices
+        )
 
     def shortest_st_path_length(self):
         """BFS distance from s to t, or None when there is no path."""
@@ -111,39 +88,20 @@ class InputGraph:
 
     def shortest_st_path(self):
         """One shortest s->t path as a vertex list, or None."""
-        seen = {"s": None}
-        queue = deque(["s"])
-        while queue:
-            x = queue.popleft()
-            if x == "t":
-                path = []
-                while x is not None:
-                    path.append(x)
-                    x = seen[x]
-                return path[::-1]
-            for w in sorted(self._succ.get(x, ()), key=str):
-                if w not in seen:
-                    seen[w] = x
-                    queue.append(w)
-        return None
+        tree = self._tree("s")
+        if "t" not in tree:
+            return None
+        path = ["t"]
+        while path[-1] != "s":
+            path.append(tree[path[-1]][1])
+        return path[::-1]
 
     def has_st_path(self):
         return self.shortest_st_path_length() is not None
 
     def is_acyclic(self):
-        indeg = {v: 0 for v in self.vertices}
-        for u, v in self.edges:
-            indeg[v] += 1
-        queue = deque(v for v, d in indeg.items() if d == 0)
-        seen = 0
-        while queue:
-            u = queue.popleft()
-            seen += 1
-            for w in self._succ.get(u, ()):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return seen == len(self.vertices)
+        """No edge (u, v) closes a cycle, i.e. no edge has u reachable from v."""
+        return not any(u in self._tree(v) for u, v in self.edges)
 
     def permuted(self, sigma):
         return InputGraph(self.n, {(sigma(u), sigma(v)) for u, v in self.edges})

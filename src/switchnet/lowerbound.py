@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .cuts import CutFunction, _nondegenerate, is_edge_invariant
+from .cuts import CutFunction, _nondegenerate, is_edge_invariant, relation_violations
 from .graphs import InputGraph
 from .spectral import min_norm_solve
 from .subsets import colex_rank, k_subsets
@@ -300,22 +300,21 @@ class BuildDiagnostics:
         }
 
 
-def build_base_function(graph: InputGraph, z: int, seed: int = 0, *, path_threshold=None):
+def build_base_function(graph: InputGraph, z: int, seed: int = 0):
     """Construct the base function: table levels 0..z-1 with zero error
     vectors and zero defects at every relevant configuration, coeff({}) = 1,
     support strictly below level z.
 
-    Requires an acyclic graph with no s->t path of length <= 2**(z-1)
-    (the threshold is overridable).  Free coordinates are filled by exact
-    minimum-norm solves; a singular restricted system aborts with the
-    offending level.
+    Requires an acyclic graph with no s->t path of length <= 2**(z-1).
+    Free coordinates are filled by exact minimum-norm solves; a singular
+    restricted system aborts with the offending level.
     """
     n = graph.n
     if z < 1:
         raise ValueError("need z >= 1")
     if not graph.is_acyclic():
         raise ValueError("graph must be acyclic")
-    threshold = 2 ** (z - 1) if path_threshold is None else path_threshold
+    threshold = 2 ** (z - 1)
     d_st = graph.distance("s", "t")
     if d_st is not None and d_st <= threshold:
         raise ValueError(f"s->t path of length {d_st} <= {threshold} violates the hypothesis")
@@ -460,29 +459,11 @@ def _verify_completed_table(table: SumVectorTable, graph: InputGraph, z: int):
 
 
 def _check_extension_precondition(g: CutFunction, edge, z: int):
-    tail, head = edge
-    co = g.coeffs
-    if any(len(V) >= z for V in co):
+    if any(len(V) >= z for V in g.coeffs):
         raise ValueError(f"base function must vanish at level >= z={z}")
-
-    def c(V):
-        return co.get(V, 0)
-
-    mids = frozenset(x for x in edge if x not in ("s", "t"))
-    bases = {V - mids for V in co} | set(co)
-    for V in bases:
-        if mids & V:
-            continue
-        if tail == "s":
-            if len(V) < z - 1 and c(V | {head}) != -c(V):
-                raise ValueError(f"base function violates the s->{head} relation at {sorted(V)}")
-        elif head == "t":
-            if len(V) < z - 1 and c(V | {tail}) != c(V):
-                raise ValueError(f"base function violates the {tail}->t relation at {sorted(V)}")
-        else:
-            v, w = tail, head
-            if len(V) < z - 2 and c(V | {v, w}) != -c(V | {v}) + c(V | {w}) + c(V):
-                raise ValueError(f"base function violates the {v}->{w} relation at {sorted(V)}")
+    bad = next(relation_violations(g, edge, below=z), None)
+    if bad is not None:
+        raise ValueError(f"base function violates the {edge[0]}->{edge[1]} relation at {sorted(bad)}")
 
 
 def extend_invariant(g: CutFunction, edge, z: int) -> CutFunction:

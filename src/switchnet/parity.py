@@ -19,9 +19,9 @@ from itertools import combinations, permutations, product, repeat
 from .cuts import (
     CutFunction,
     crossing_mask,
-    edge_crosses,
     full_cut_mask,
     iter_cuts,
+    nonzero_mask,
     parity_mask,
 )
 from .graphs import InputGraph
@@ -115,22 +115,19 @@ class KFunction:
         return f"KFunction({list(self.chars)})"
 
 
-def kf_value(kfun: KFunction, cut: int):
-    return kfun.value(cut)
-
-
 def can_go(f, g, edge, n=None) -> bool:
-    """(f - g) vanishes on every cut the edge does not cross (all-cuts sweep)."""
+    """(f - g) vanishes on every cut the edge does not cross."""
     if isinstance(f, CutFunction):
         n = f.n
     if n is None:
         raise ValueError("need n for K-function arguments")
     if isinstance(f, KFunction) and isinstance(g, KFunction):
-        agree_needed = full_cut_mask(n) ^ crossing_mask(n, tuple(edge))
-        return (f.posmask(n) ^ g.posmask(n)) & agree_needed == 0
-    fv = f.to_cut_function(n).values if isinstance(f, KFunction) else f.values
-    gv = g.to_cut_function(n).values if isinstance(g, KFunction) else g.values
-    return all(fv[c] == gv[c] for c in iter_cuts(n) if not edge_crosses(tuple(edge), c))
+        differ = f.posmask(n) ^ g.posmask(n)
+    else:
+        fv = f.to_cut_function(n).values if isinstance(f, KFunction) else f.values
+        gv = g.to_cut_function(n).values if isinstance(g, KFunction) else g.values
+        differ = nonzero_mask(a != b for a, b in zip(fv, gv))
+    return differ & ~crossing_mask(n, tuple(edge)) == 0
 
 
 def step_lollipop(kfun: KFunction, index: int, edge) -> KFunction:

@@ -44,20 +44,16 @@ def moves(graph: InputGraph, state):
     return out
 
 
-def _search_win(graph: InputGraph, budget: int):
-    """BFS over states with at most `budget` middle pebbles; returns the
-    state path from the empty state to the first winning state, or None."""
-    if graph.n > STATE_CAP:
-        raise ValueError(f"state search refused for n={graph.n} > {STATE_CAP}")
+def _search_win(graph: InputGraph, admit):
+    """BFS over the states `admit` accepts, from the empty state; returns the
+    state path to the first winning state reached, or None."""
     start = frozenset()
     prev = {start: None}
     queue = deque([start])
     while queue:
         st = queue.popleft()
         for nxt in moves(graph, st):
-            if nxt in prev:
-                continue
-            if middle_count(nxt) > budget:
+            if nxt in prev or not admit(nxt):
                 continue
             prev[nxt] = st
             if is_winning(nxt):
@@ -73,7 +69,9 @@ def winning_play(graph: InputGraph, budget: int):
     """A winning state sequence within the pebble budget, or None."""
     if not graph.has_st_path():
         return None
-    return _search_win(graph, budget)
+    if graph.n > STATE_CAP:
+        raise ValueError(f"state search refused for n={graph.n} > {STATE_CAP}")
+    return _search_win(graph, lambda st: middle_count(st) <= budget)
 
 
 def min_pebble_number(graph: InputGraph) -> int:
@@ -82,7 +80,7 @@ def min_pebble_number(graph: InputGraph) -> int:
     if not graph.has_st_path():
         raise ValueError("no s->t path; the game cannot be won")
     for budget in range(0, graph.n + 1):
-        if _search_win(graph, budget) is not None:
+        if winning_play(graph, budget) is not None:
             return budget
     raise AssertionError("unreachable: full budget always wins when an s->t path exists")
 
@@ -141,20 +139,7 @@ def savitch_bound(length: int) -> int:
 def can_win_through(graph: InputGraph, allowed) -> bool:
     """Win from the empty state visiting only `allowed` intermediate states
     (the start and any winning state are exempt)."""
-    start = frozenset()
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        st = queue.popleft()
-        for nxt in moves(graph, st):
-            if nxt in seen:
-                continue
-            if is_winning(nxt):
-                return True
-            if nxt in allowed:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return _search_win(graph, lambda st: is_winning(st) or st in allowed) is not None
 
 
 def network_from_states(states, n: int) -> SwitchingNetwork:

@@ -164,12 +164,13 @@ def _solve_exact_normal(gram, rhs):
     return [aug[i][r] for i in range(r)]
 
 
-def min_norm_solve(P, x, tol: float = DEFAULT_TOL, return_witness: bool = False):
+def min_norm_solve(P, x, return_witness: bool = False):
     """Minimum-norm y with P y = x for a full-row-rank P.
 
     The solution is y = P^T w with (P P^T) w = x, which places y in the row
     space of P.  Exact mode (any Fraction/int entries) solves the normal
-    equations exactly; float mode checks the relative residual against tol.
+    equations exactly; float mode checks the relative residual against
+    DEFAULT_TOL.
     """
     rows = [list(r) for r in P]
     if not rows:
@@ -194,11 +195,11 @@ def min_norm_solve(P, x, tol: float = DEFAULT_TOL, return_witness: bool = False)
     b = np.asarray(x, dtype=float)
     gram = A @ A.T
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= tol * max(eigs[-1], 1.0):
+    if eigs[0] <= DEFAULT_TOL * max(eigs[-1], 1.0):
         raise SingularSystemError("normal matrix P P^T is numerically singular")
     w = np.linalg.solve(gram, b)
     y = A.T @ w
     resid = np.linalg.norm(A @ y - b)
-    if resid > tol * max(np.linalg.norm(b), 1.0):
+    if resid > DEFAULT_TOL * max(np.linalg.norm(b), 1.0):
         raise InconsistentSystemError(f"residual {resid:.3e} above tolerance")
     return (y, w) if return_witness else y

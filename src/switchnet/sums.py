@@ -14,6 +14,8 @@ from math import comb, factorial
 
 from .cuts import CutFunction, Permutation
 
+BRUTEFORCE_CAP = 8  # the brute force walks n! permutations; refuse beyond this
+
 
 def s_single(g: CutFunction, A, u: int):
     """Sum of coeff(A | B) over B disjoint from A with |B| = u; 0 for u < 0."""
@@ -140,12 +142,12 @@ def permutation_average_formula(f: CutFunction, g: CutFunction):
     return total
 
 
-def permutation_average_bruteforce(f: CutFunction, g: CutFunction, max_n: int = 8):
+def permutation_average_bruteforce(f: CutFunction, g: CutFunction):
     """(1/n!) sum over every permutation sigma of (f . sigma(g))**2."""
     if f.n != g.n:
         raise ValueError("functions must share n")
-    if f.n > max_n:
-        raise ValueError(f"brute force refused for n={f.n} > {max_n}")
+    if f.n > BRUTEFORCE_CAP:
+        raise ValueError(f"brute force refused for n={f.n} > {BRUTEFORCE_CAP}")
     n = f.n
     total = Fraction(0)
     for sigma in Permutation.all(n):

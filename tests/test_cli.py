@@ -188,6 +188,24 @@ class TestMalformedInput:
         assert len(err) == 1 and "error" in json.loads(err[0])
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be written is a usage error: exit 2 and one
+    JSON error line on stderr naming the path, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["formulas", "--k", 2, "--z", 2, "--n", 64],
+        ["verify-permutation-average", "--n", 3, "--trials", 1],
+    ], ids=["json", "csv"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_exits_two(self, tmp_path, capsys, argv, target):
+        out = tmp_path / "absent" / "out" if target == "missing-dir" else tmp_path
+        assert run(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and json.loads(err[0])["error"].startswith(f"cannot write {out}:")
+
+
 class TestParameterDomain:
     """A parameter outside its command's domain is a usage error: exit 2 and
     one JSON error line on stderr, nothing on stdout."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from switchnet.cuts import (
     CutFunction,
     Permutation,
+    crossing_mask,
     dot,
     edge_crosses,
     eval_character,
@@ -18,10 +19,12 @@ from switchnet.cuts import (
     is_edge_invariant,
     iter_cuts,
     maximal_no_instance,
+    parity_mask,
     permute,
     transform,
 )
 from switchnet.graphs import InputGraph
+from switchnet.lowerbound import extend_invariant
 
 from conftest import random_sparse_function
 
@@ -175,6 +178,16 @@ class TestEdgeCrossing:
                 sigma.apply_edge((u, v)), sigma.apply_cut(c)
             )
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_masks_match_per_cut_oracles(self, n):
+        verts = ["s", "t"] + list(range(1, n + 1))
+        for e in [(u, v) for u in verts for v in verts if u != v]:
+            assert crossing_mask(n, e) == sum(1 << c for c in iter_cuts(n) if edge_crosses(e, c))
+        for vmask in range(1 << n):
+            V = [v for v in range(1, n + 1) if vmask >> (v - 1) & 1]
+            want = sum(1 << c for c in iter_cuts(n) if eval_character(V, c, n) == -1)
+            assert parity_mask(n, vmask) == want
+
 
 class TestMaximalNoInstance:
     def test_n1_example(self):
@@ -265,6 +278,25 @@ def test_parseval_property(n, data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     f = random_sparse_function(n, rng)
     assert f.norm_squared() == brute_dot(f, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(0, 10**6))
+def test_relations_match_value_sweep(n, seed):
+    """Zeroing a random function on the cuts an edge crosses makes it
+    invariant under the edge.  The coefficient relations must say so, agree
+    with the value sweep on the original, and, truncated below any level z,
+    pass extend_invariant's precondition and extend to an invariant function."""
+    f = random_sparse_function(n, random.Random(seed), terms=6)
+    middles = list(range(1, n + 1))
+    for edge in [(a, b) for a in ["s"] + middles for b in middles + ["t"] if a != b and (a, b) != ("s", "t")]:
+        crossing = crossing_mask(n, edge)
+        g = CutFunction.from_values(n, [0 if crossing >> c & 1 else v for c, v in enumerate(f.values)])
+        assert invariant_by_coeffs(g, edge) and invariant_by_values(g, edge)
+        assert invariant_by_coeffs(f, edge) == invariant_by_values(f, edge)
+        for z in range(1, n + 1):
+            below = CutFunction(n, coeffs={V: c for V, c in g.coeffs.items() if len(V) < z})
+            assert is_edge_invariant(extend_invariant(below, edge, z), edge)
 
 
 def _all_subsets(n):

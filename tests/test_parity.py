@@ -24,7 +24,6 @@ from switchnet.parity import (
     _greedy_pick,
     _iter_equal_partitions,
     default_z,
-    kf_value,
     match_probability_lower_bound,
     partition_matches,
     placement_graphs,
@@ -40,7 +39,7 @@ from switchnet.parity import (
 class TestKFunctions:
     def test_empty_is_minus_one(self):
         k = KFunction([])
-        assert all(kf_value(k, c) == -1 for c in iter_cuts(3))
+        assert all(k.value(c) == -1 for c in iter_cuts(3))
 
     def test_single_factor_is_the_factor(self):
         k = KFunction([(1, {1})])
@@ -51,7 +50,7 @@ class TestKFunctions:
         f = KFunction([(1, {1, 2})])
         g = KFunction([(1, {1, 2}), (-1, frozenset())])
         for c in iter_cuts(3):
-            assert kf_value(f, c) == kf_value(g, c)
+            assert f.value(c) == g.value(c)
         assert canonical_chars(f.chars) == canonical_chars(g.chars)
 
     def test_value_is_max_of_factors(self, rng):
@@ -66,7 +65,7 @@ class TestKFunctions:
                     s * (-1 if bin(sum(1 << (v - 1) for v in V) & c).count("1") % 2 else 1)
                     for s, V in chars
                 ]
-                assert kf_value(k, c) == max(factor_values)
+                assert k.value(c) == max(factor_values)
 
     def test_canonical_one_detection(self):
         assert canonical_chars([(1, ())]) is ONE
@@ -121,6 +120,8 @@ class TestSteps:
                 if not edge_crosses(e, c)
             )
             assert can_go(f, g, e, n=3) == direct
+            fc, gc = f.to_cut_function(3), g.to_cut_function(3)
+            assert can_go(fc, gc, e) == can_go(fc, g, e) == can_go(f, gc, e, n=3) == direct
 
 
 class TestReductionGadget:

@@ -1,22 +1,33 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from collections import deque
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import switchnet
 from switchnet.graphs import InputGraph
 from switchnet.pebbles import (
+    STATE_CAP,
+    can_win_through,
     is_winning,
     max_middle_pebbles,
+    middle_count,
     min_pebble_number,
     moves,
     network_from_states,
     savitch_bound,
     savitch_sequence,
+    winning_play,
 )
+
+from conftest import small_graphs
 
 
 def chain_graph(length):
@@ -124,3 +135,78 @@ class TestNetworkFromStates:
             for seed in ("1", "2")
         ]
         assert outs[0] and outs[0] == outs[1]
+
+
+def _loop_search_win(graph, budget):
+    """The budgeted state search that winning_play ran before one search
+    served every admission rule."""
+    start = frozenset()
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        st_ = queue.popleft()
+        for nxt in moves(graph, st_):
+            if nxt in prev:
+                continue
+            if middle_count(nxt) > budget:
+                continue
+            prev[nxt] = st_
+            if is_winning(nxt):
+                path = [nxt]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            queue.append(nxt)
+    return None
+
+
+def _loop_can_win_through(graph, allowed):
+    start = frozenset()
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        st_ = queue.popleft()
+        for nxt in moves(graph, st_):
+            if nxt in seen:
+                continue
+            if is_winning(nxt):
+                return True
+            if nxt in allowed:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
+class TestSearchMatchesLoops:
+    """Differential tests: the one state search under each admission rule
+    against the loop that rule used to have."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs())
+    def test_winning_play_and_min_pebble_number(self, g):
+        plays = [winning_play(g, b) for b in range(g.n + 1)]
+        if not g.has_st_path():
+            assert plays == [None] * (g.n + 1)
+            with pytest.raises(ValueError):
+                min_pebble_number(g)
+            return
+        assert plays == [_loop_search_win(g, b) for b in range(g.n + 1)]
+        assert min_pebble_number(g) == next(b for b, play in enumerate(plays) if play is not None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.integers(0, 10**6), st.sampled_from([0.2, 0.6, 0.95]))
+    def test_can_win_through(self, g, seed, p):
+        rng = random.Random(seed)
+        middles = range(1, g.n + 1)
+        states = [frozenset(c) | extra for k in range(g.n + 1) for c in combinations(middles, k)
+                  for extra in (frozenset(), frozenset({"t"}))]
+        allowed = {state for state in states if rng.random() < p}
+        assert can_win_through(g, allowed) == _loop_can_win_through(g, allowed)
+
+    def test_state_cap_refuses_budgeted_search_only(self):
+        g = chain_graph(STATE_CAP + 2)
+        with pytest.raises(ValueError):
+            winning_play(g, 1)
+        with pytest.raises(ValueError):
+            min_pebble_number(g)
+        assert not can_win_through(g, set())
