@@ -121,6 +121,14 @@ def _detect_chain(graph):
 def cmd_build_upper(args):
     _require(args.z >= 1, f"need --z >= 1, got {args.z}")
     graph = _load_graph(args.graph)
+    if not args.out:
+        return _build_upper(args, graph, None)
+    # opened before the build, so that an unwritable path fails fast
+    with _out(args.out) as fh:
+        return _build_upper(args, graph, fh)
+
+
+def _build_upper(args, graph, out):
     if args.mode == "chain":
         k = _detect_chain(graph)
         result = parity.build_chain_lollipop(graph.n, k, seed=args.seed)
@@ -152,9 +160,8 @@ def cmd_build_upper(args):
         if family is not None:
             payload["complete"] = net.is_complete_for(family)
             payload["family_size"] = len(family)
-    if args.out:
-        with _out(args.out) as fh:
-            json.dump(net.to_json(), fh, indent=2)
+    if out is not None:
+        json.dump(net.to_json(), out, indent=2)
         payload["network_file"] = args.out
     report = _report(payload, seed=args.seed)
     _emit(report)

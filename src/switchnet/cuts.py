@@ -7,13 +7,15 @@ L(C).  s is always in L(C) and t in R(C), so the cut space has exactly
 indexed by cut bitmask and as a sparse Fourier coefficient map keyed by
 vertex subsets; the character e_V takes the value (-1)**|V & L(C)|.
 
-Arithmetic is exact (ints / fractions.Fraction) unless a caller builds a
-function from floats; every identity checked elsewhere in the package
-relies on that exactness.
+Arithmetic is exact: scalars are ints or fractions.Fraction, and the dense
+transforms run on Python ints over one common denominator per function.
+Every identity checked elsewhere in the package relies on that exactness.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add, sub
 
 DENSE_CAP = 16  # dense value arrays are 2**n long; refuse beyond this
 
@@ -85,16 +87,19 @@ def full_cut_mask(n: int) -> int:
     return (1 << (1 << n)) - 1
 
 
-def _fwht(vals):
-    """In-place Walsh-Hadamard butterfly; self-inverse up to a 2**n factor."""
-    size = len(vals)
-    h = 1
-    while h < size:
-        for i in range(0, size, h * 2):
-            for j in range(i, i + h):
-                a, b = vals[j], vals[j + h]
-                vals[j], vals[j + h] = a + b, a - b
-        h *= 2
+def common_denominator(scalars) -> int:
+    """The lcm of the denominators of ints and Fractions; 1 when empty."""
+    return lcm(*{c.denominator for c in scalars})
+
+
+def _walsh(vals, n):
+    """Walsh-Hadamard transform of 2**n ints; self-inverse up to a 2**n factor.
+
+    Each pass adds and subtracts the even/odd neighbours and moves the low
+    index bit to the top, so after n passes the order is natural again."""
+    for _ in range(n):
+        even, odd = vals[0::2], vals[1::2]
+        vals = list(map(add, even, odd)) + list(map(sub, even, odd))
     return vals
 
 
@@ -205,21 +210,24 @@ class CutFunction:
         if self._values is None:
             if self.n > DENSE_CAP:
                 raise ValueError(f"dense representation refused for n={self.n} > {DENSE_CAP}")
+            den = common_denominator(self._coeffs.values())
             dense = [0] * (1 << self.n)
             for V, c in self._coeffs.items():
-                dense[_mask_of(V, self.n)] = c
-            self._values = _fwht(dense)
+                dense[_mask_of(V, self.n)] = c.numerator * (den // c.denominator)
+            values = _walsh(dense, self.n)
+            self._values = values if den == 1 else [Fraction(v, den) for v in values]
         return self._values
 
     @property
     def coeffs(self):
         if self._coeffs is None:
-            scale = Fraction(1, 1 << self.n)
-            spectrum = _fwht(list(self._values))
+            den = common_denominator(self._values)
+            spectrum = _walsh([v.numerator * (den // v.denominator) for v in self._values], self.n)
+            scale = den << self.n
             self._coeffs = {
-                frozenset(v + 1 for v in range(self.n) if (mask >> v) & 1): c * scale
+                frozenset(v + 1 for v in range(self.n) if (mask >> v) & 1): Fraction(c, scale)
                 for mask, c in enumerate(spectrum)
-                if c != 0
+                if c
             }
         return self._coeffs
 
@@ -369,12 +377,14 @@ def _nondegenerate(edge, n):
     return True
 
 
-def nonzero_mask(values) -> int:
-    """Bitmask over cuts with bit C set iff values[C] is nonzero."""
-    import numpy as np
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
-    bits = np.packbits(np.fromiter(map(bool, values), bool), bitorder="little")
-    return int.from_bytes(bits.tobytes(), "little")
+
+def nonzero_mask(values) -> int:
+    """Bitmask over cuts with bit C set iff values[C] is nonzero; `values` may
+    be any iterable, a generator included."""
+    digits = bytes(map(bool, values)).translate(_DIGITS)
+    return int(digits[::-1] or b"0", 2)
 
 
 def invariant_by_values(g: CutFunction, edge) -> bool:

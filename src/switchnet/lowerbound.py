@@ -312,22 +312,21 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
     n = graph.n
     if z < 1:
         raise ValueError("need z >= 1")
-    if not graph.is_acyclic():
+    hypotheses = low_connectivity_hypotheses(graph, z)
+    if not hypotheses["acyclic"]:
         raise ValueError("graph must be acyclic")
-    threshold = 2 ** (z - 1)
-    d_st = graph.distance("s", "t")
-    if d_st is not None and d_st <= threshold:
-        raise ValueError(f"s->t path of length {d_st} <= {threshold} violates the hypothesis")
+    if not hypotheses["no_short_st_path"]:
+        d_st = graph.distance("s", "t")
+        raise ValueError(f"s->t path of length {d_st} <= {2 ** (z - 1)} violates the hypothesis")
 
-    linkage_depth = 2 ** (z - 2) if z >= 2 else 0
-    m_link = graph.linkage_degree(linkage_depth) if linkage_depth else 0
+    m_link = hypotheses["linkage_m"]
     diag = BuildDiagnostics(
         seed=seed,
         n=n,
         z=z,
         linkage_m=m_link,
-        linkage_depth=linkage_depth,
-        m_hypothesis_ok=(m_link * 2000 * z**4 <= n),
+        linkage_depth=_linkage_depth(z),
+        m_hypothesis_ok=hypotheses["m_small_enough"],
     )
 
     table = SumVectorTable(n, z - 1, graph=graph, z=z)
@@ -361,7 +360,7 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
                     matrix, rhs = [], []
                     for j in free_rows:
                         V = frozenset(prev_subsets[j])
-                        row = [Fraction(0)] * len(free_cols)
+                        row = [0] * len(free_cols)
                         adj = Fraction(0)
                         for b in range(1, n + 1):
                             if b in V:
@@ -699,9 +698,16 @@ def lower_bound_certificate(graph: InputGraph, family: InvariantFamily, e0=None)
     )
 
 
+def _linkage_depth(z: int) -> int:
+    """Path length 2**(z-2) within which the linkage degree m is counted; 0 for z < 2."""
+    return 2 ** (z - 2) if z >= 2 else 0
+
+
 def low_connectivity_hypotheses(graph: InputGraph, z: int) -> dict:
-    """The structural hypotheses behind the closed-form bound, as flags."""
-    depth = 2 ** (z - 2) if z >= 2 else 0
+    """The structural hypotheses behind the closed-form bound, as flags;
+    build_base_function enforces `acyclic` and `no_short_st_path` and
+    records the linkage flags in its diagnostics."""
+    depth = _linkage_depth(z)
     m = graph.linkage_degree(depth) if depth else 0
     d = graph.distance("s", "t")
     return {

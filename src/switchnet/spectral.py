@@ -6,17 +6,18 @@ P_k has one row per k-subset and one column per (k+1)-subset of {1..n}
 column subset.  P_k P_k^T carries the Johnson-scheme spectrum
 (n-k-i)(k+1-i) with multiplicity C(n,i) - C(n,i-1).
 
-Solves come in two modes: exact rationals (Gaussian elimination on the
-normal equations) for the construction pipeline, and floating point with
-a residual contract for diagnostics.
+Solves come in two modes: exact rationals for the construction pipeline
+(an integer Gram over cleared denominators, solved by fraction-free
+Bareiss elimination), and floating point with a residual contract for
+diagnostics.  numpy is imported only by the floating-point code.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
+from .cuts import common_denominator
 from .subsets import k_subsets
 
 DEFAULT_TOL = 1e-10
@@ -47,6 +48,8 @@ class InclusionMatrix:
         return (len(self.rows), len(self.cols))
 
     def toarray(self, dtype=float):
+        import numpy as np
+
         m = np.zeros(self.shape, dtype=dtype)
         for i, cols in enumerate(self.row_cols):
             for j in cols:
@@ -97,6 +100,8 @@ def restricted_gram_min_eigenvalue(n: int, k: int, bad_vertices=(), bad_pairs=()
     <= n / (2000 k^3)) and whether the min eigenvalue reaches n/2;
     under the hypotheses it always does.
     """
+    import numpy as np
+
     bad_vertices = set(bad_vertices)
     bad_pairs = {frozenset(p) for p in bad_pairs}
     inc = InclusionMatrix(n, k)
@@ -146,31 +151,41 @@ class InconsistentSystemError(ValueError):
     pass
 
 
-def _solve_exact_normal(gram, rhs):
-    """Gaussian elimination with Fraction arithmetic; raises on singular."""
+def _bareiss_solve(gram, rhs):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer
+    system: (numerators, d) with gram * numerators = d * rhs, where d is the
+    determinant up to sign.  Every division by the previous pivot is exact.
+    Raises SingularSystemError when a column has no pivot.
+
+    Columns left of the pivot are never read again and are not updated:
+    they hold d on the diagonal and 0 elsewhere."""
     r = len(gram)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(gram)]
+    aug = [list(row) + [b] for row, b in zip(gram, rhs)]
+    prev = 1
     for col in range(r):
-        pivot = next((i for i in range(col, r) if aug[i][col] != 0), None)
+        pivot = next((i for i in range(col, r) if aug[i][col]), None)
         if pivot is None:
             raise SingularSystemError("normal matrix P P^T is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [aug[i][r] for i in range(r)]
+        top = aug[col][col:]
+        pv = top[0]
+        for i, row in enumerate(aug):
+            if i != col:
+                f = row[col]
+                row[col:] = [(pv * a - f * b) // prev for a, b in zip(row[col:], top)]
+        prev = pv
+    return [row[r] for row in aug], prev
 
 
 def min_norm_solve(P, x, return_witness: bool = False):
     """Minimum-norm y with P y = x for a full-row-rank P.
 
     The solution is y = P^T w with (P P^T) w = x, which places y in the row
-    space of P.  Exact mode (any Fraction/int entries) solves the normal
-    equations exactly; float mode checks the relative residual against
-    DEFAULT_TOL.
+    space of P.  Exact mode (any Fraction/int entries) scales P and x to
+    integers by the lcm of their denominators, forms the integer Gram from
+    each column's nonzero entries, solves it by Bareiss elimination and maps
+    back with one pass over each row's nonzero columns; float mode checks
+    the relative residual against DEFAULT_TOL.
     """
     rows = [list(r) for r in P]
     if not rows:
@@ -182,15 +197,34 @@ def min_norm_solve(P, x, return_witness: bool = False):
     if len(x) != r:
         raise ValueError("rhs length mismatch")
     if exact:
-        gram = [
-            [sum((Fraction(a) * Fraction(b) for a, b in zip(rows[i], rows[j])), start=Fraction(0))
-             for j in range(r)]
-            for i in range(r)
-        ]
-        w = _solve_exact_normal(gram, x)
-        y = [sum((Fraction(rows[i][j]) * w[i] for i in range(r)), start=Fraction(0)) for j in range(c)]
+        # With P = Q / dp and x = b / dx for integer Q and b: Q Q^T u = e b
+        # gives w = dp^2 u / (dx e) and y = P^T w = dp Q^T u / (dx e).
+        nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+        dp = common_denominator(v for row in nonzero for _, v in row)
+        dx = common_denominator(x)
+        q = [[(j, v.numerator * (dp // v.denominator)) for j, v in row] for row in nonzero]
+        by_col = defaultdict(list)
+        for i, row in enumerate(q):
+            for j, v in row:
+                by_col[j].append((i, v))
+        gram = [[0] * r for _ in range(r)]
+        for entries in by_col.values():
+            for i, a in entries:
+                gram_i = gram[i]
+                for j, b in entries:
+                    gram_i[j] += a * b
+        u, e = _bareiss_solve(gram, [b.numerator * (dx // b.denominator) for b in x])
+        acc = [0] * c
+        for i, row in enumerate(q):
+            for j, a in row:
+                acc[j] += a * u[i]
+        y = [Fraction(dp * t, dx * e) for t in acc]
         # exact arithmetic: P y = (P P^T) w = x identically
-        return (y, w) if return_witness else y
+        if return_witness:
+            return y, [Fraction(dp * dp * t, dx * e) for t in u]
+        return y
+    import numpy as np
+
     A = np.asarray(rows, dtype=float)
     b = np.asarray(x, dtype=float)
     gram = A @ A.T

@@ -6,13 +6,19 @@ s_triple(g1, g2, k, u1, u2) run over disjoint (A, B, C) with those sizes
 and multiply coeff(A|B) by coeff(A|C).  These feed the exact formula for
 the average of (f . sigma(g))**2 over all permutations sigma, and the
 upper bounds used by the lower-bound certificates.
+
+The pair sums read a scatter table (`scatter_sums`): one pass over the
+coefficients adds each integer numerator, over the function's common
+denominator, to every k-subset of its set.  `s_single` is the
+definitional gather, one level scan per subset A.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .cuts import CutFunction, Permutation
+from .cuts import CutFunction, Permutation, common_denominator
 
 BRUTEFORCE_CAP = 8  # the brute force walks n! permutations; refuse beyond this
 
@@ -28,6 +34,31 @@ def s_single(g: CutFunction, A, u: int):
         if len(V) == target and A <= V:
             total += c
     return total
+
+
+def scatter_sums(g: CutFunction, keys):
+    """(den, {(k, u): {A: numerator}}) for the requested (k, u) pairs: the
+    numerator at the sorted k-tuple A is den * s_single(g, A, u), and
+    k-subsets whose sum has no term are absent.  den is the lcm of the
+    denominators of g's coefficients; pairs with k or u negative stay empty."""
+    co = g.coeffs
+    den = common_denominator(co.values())
+    keys = {(k, u) for k, u in keys}
+    table = {key: defaultdict(int) for key in keys}
+    ks_at = defaultdict(list)  # level |V| -> the k whose (k, |V| - k) is requested
+    for k, u in keys:
+        if k >= 0 and u >= 0:
+            ks_at[k + u].append(k)
+    for V, c in co.items():
+        ks = ks_at.get(len(V))
+        if ks:
+            num = c.numerator * (den // c.denominator)
+            members = sorted(V)
+            for k in ks:
+                sums = table[(k, len(V) - k)]
+                for A in combinations(members, k):
+                    sums[A] += num
+    return den, table
 
 
 def _triple_table(g1: CutFunction, g2: CutFunction):
@@ -77,16 +108,15 @@ def triple_from_singles(g1: CutFunction, g2: CutFunction, k: int, u1: int, u2: i
 
 def pair_sum(g1: CutFunction, g2: CutFunction, k: int, u1: int, u2: int):
     """sum over |A| = k of s_single(g1, A, u1) * s_single(g2, A, u2)."""
-    n = g1.n
-    total = Fraction(0)
-    for A in combinations(range(1, n + 1), k):
-        a = s_single(g1, A, u1)
-        if a == 0:
-            continue
-        b = s_single(g2, A, u2)
-        if b != 0:
-            total += a * b
-    return total
+    if g2 is g1:
+        den1, table1 = den2, table2 = scatter_sums(g1, [(k, u1), (k, u2)])
+    else:
+        den1, table1 = scatter_sums(g1, [(k, u1)])
+        den2, table2 = scatter_sums(g2, [(k, u2)])
+    a, b = table1[(k, u1)], table2[(k, u2)]
+    if len(b) < len(a):
+        a, b = b, a
+    return Fraction(sum(x * b[A] for A, x in a.items() if A in b), den1 * den2)
 
 
 def pair_sum_from_triples(g1: CutFunction, g2: CutFunction, k: int, u1: int, u2: int):
@@ -163,13 +193,14 @@ def permutation_bound_sum(g: CutFunction, z: int):
     for functions g supported on levels <= z.
     """
     n = g.n
+    keys = [(k, u) for k in range(0, z + 1) for u in range(0, z - k + 1)]
+    den, table = scatter_sums(g, keys)
     total = Fraction(0)
-    for k in range(0, z + 1):
-        for u in range(0, z - k + 1):
-            sq = sum_of_squares(g, k, u)
-            if sq != 0:
-                total += Fraction(2**k * factorial(k + u), n ** (k + u)) * sq
-    return 2 * (z + 1) * total
+    for k, u in keys:
+        sq = sum(x * x for x in table[(k, u)].values())
+        if sq != 0:
+            total += Fraction(2**k * factorial(k + u) * sq, n ** (k + u))
+    return 2 * (z + 1) * total / (den * den)
 
 
 def permutation_bound(g: CutFunction, z: int):

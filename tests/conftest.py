@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -38,3 +39,39 @@ def small_graphs(draw):
     p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
     acyclic = draw(st.booleans())
     return random_graph(n, random.Random(draw(st.integers(0, 10**6))), acyclic=acyclic, p=p)
+
+
+def layered_dag(a, b, tail_len, n):
+    """s feeds a complete bipartite layer A x B, then a chain from the first
+    B vertex into t, so the shortest s->t distance is 3 + tail_len; vertices
+    past the chain are isolated padding."""
+    A = list(range(1, a + 1))
+    B = list(range(a + 1, a + b + 1))
+    chain = list(range(a + b + 1, a + b + 1 + tail_len))
+    edges = {("s", x) for x in A} | {(x, y) for x in A for y in B}
+    prev = B[0]
+    for c in chain:
+        edges.add((prev, c))
+        prev = c
+    edges.add((prev, "t"))
+    return InputGraph(n, edges)
+
+
+@st.composite
+def rationals(draw, integral=False):
+    """Ints, or Fractions with mixed small denominators and numerators past 2**64."""
+    num = draw(st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)))
+    if integral:
+        return num
+    return Fraction(num, draw(st.sampled_from([1, 2, 3, 4, 6, 9, 10, 35, 2**65 + 1])))
+
+
+@st.composite
+def sparse_functions(draw, max_n=10, integral=False, n=None):
+    """Sparse cut functions on the given n, or on 1 <= n <= max_n, with up to
+    eight coefficients."""
+    if n is None:
+        n = draw(st.integers(1, max_n))
+    sets = st.frozensets(st.integers(1, n), max_size=n)
+    coeffs = draw(st.dictionaries(sets, rationals(integral), max_size=8))
+    return CutFunction(n, coeffs=coeffs)

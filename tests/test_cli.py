@@ -1,11 +1,17 @@
 import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from switchnet import parity
+from switchnet import lowerbound, parity
 from switchnet.cli import main
 from switchnet.graphs import InputGraph, chain_with_lollipops
 from switchnet.parity import build_chain_lollipop
+
+from conftest import layered_dag
 
 
 @pytest.fixture
@@ -75,6 +81,23 @@ class TestBuildUpper:
         assert report["sound"] and report["complete"]
 
 
+class TestBuildUpperOutFailsFast:
+    @pytest.mark.parametrize("mode", ["chain", "general"])
+    def test_unwritable_out_exits_before_building(self, chain_files, tmp_path, monkeypatch, capsys, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the builder ran before --out was checked")
+
+        monkeypatch.setattr(parity, "build_chain_lollipop", refuse)
+        monkeypatch.setattr(parity, "build_general_network", refuse)
+        gpath, _ = chain_files
+        out = tmp_path / "absent" / "net.json"
+        assert run(["build-upper", "--mode", mode, "--graph", gpath, "--out", out]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and json.loads(err[0])["error"].startswith(f"cannot write {out}:")
+
+
 class TestCertifyLower:
     def test_valid_instance(self, tmp_path, capsys):
         graph = InputGraph(6, {("s", 1), (1, 2), (2, 3), (3, 4), (4, "t")})
@@ -94,6 +117,43 @@ class TestCertifyLower:
         assert code == 1
         assert "hypothesis_flags" in report
         assert not report["hypothesis_flags"]["has_st_path"]
+
+
+    def test_exact_pipeline_never_imports_numpy(self, tmp_path):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(chain_with_lollipops(6, 1).to_json()))
+        script = (
+            "import sys, switchnet.cli\n"
+            f"code = switchnet.cli.main(['certify-lower', '--graph', {str(gpath)!r}, '--z', '1'])\n"
+            "assert code == 0, code\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={"PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
+
+    def test_hypothesis_clean_z3_certificate(self, tmp_path, monkeypatch, capsys):
+        """The north-star instance: z = 3 needs n >= 4 (z+1)**2 = 64 for a
+        hypothesis-clean certificate.  The exact max_sum was recorded from
+        the Fraction pipeline that the integer kernels replaced."""
+        certificates = []
+        certify = lowerbound.lower_bound_certificate
+
+        def recording(*args, **kwargs):
+            certificates.append(certify(*args, **kwargs))
+            return certificates[-1]
+
+        monkeypatch.setattr(lowerbound, "lower_bound_certificate", recording)
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(layered_dag(2, 2, 6, 64).to_json()))
+        assert run(["certify-lower", "--graph", gpath, "--z", 3]) == 0
+        report = json.loads(capsys.readouterr().out)["certificate"]
+        max_sum = Fraction(3644082807665450967, 13354664874279034880)
+        assert report["hypothesis_clean"] is True
+        assert certificates[0].max_sum == max_sum
+        assert report["max_sum"] == float(max_sum)
 
 
 class TestPebbleCommand:

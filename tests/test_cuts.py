@@ -19,6 +19,7 @@ from switchnet.cuts import (
     is_edge_invariant,
     iter_cuts,
     maximal_no_instance,
+    nonzero_mask,
     parity_mask,
     permute,
     transform,
@@ -26,7 +27,7 @@ from switchnet.cuts import (
 from switchnet.graphs import InputGraph
 from switchnet.lowerbound import extend_invariant
 
-from conftest import random_sparse_function
+from conftest import random_sparse_function, rationals, sparse_functions
 
 
 def brute_dot(f, g):
@@ -267,6 +268,12 @@ class TestSerialization:
         blob = json.dumps(f.to_json())
         assert CutFunction.from_json(json.loads(blob)) == f
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sparse_functions(), sparse_functions(integral=True)))
+    def test_roundtrip_property(self, f):
+        back = CutFunction.from_json(json.loads(json.dumps(f.to_json())))
+        assert back.n == f.n and back.coeffs == f.coeffs
+
     def test_rationals_as_strings(self):
         f = CutFunction(2, coeffs={frozenset({1}): Fraction(3, 7)})
         assert f.to_json()["coeffs"] == [{"V": [1], "c": "3/7"}]
@@ -304,3 +311,64 @@ def _all_subsets(n):
     for k in range(n + 1):
         out.extend(combinations(range(1, n + 1), k))
     return out
+
+
+def fraction_butterfly(vals):
+    """In-place Walsh-Hadamard butterfly on Fractions, one element pair at a
+    time: the oracle of the integer transform."""
+    size = len(vals)
+    h = 1
+    while h < size:
+        for i in range(0, size, h * 2):
+            for j in range(i, i + h):
+                a, b = vals[j], vals[j + h]
+                vals[j], vals[j + h] = a + b, a - b
+        h *= 2
+    return vals
+
+
+def oracle_values(n, coeffs):
+    dense = [Fraction(0)] * (1 << n)
+    for V, c in coeffs.items():
+        dense[sum(1 << (v - 1) for v in V)] = Fraction(c)
+    return fraction_butterfly(dense)
+
+
+def oracle_coeffs(n, values):
+    scale = Fraction(1, 1 << n)
+    spectrum = fraction_butterfly([Fraction(v) for v in values])
+    return {
+        frozenset(v + 1 for v in range(n) if (mask >> v) & 1): c * scale
+        for mask, c in enumerate(spectrum)
+        if c != 0
+    }
+
+
+class TestIntegerTransform:
+    """The int Walsh transform over a common denominator against the
+    Fraction butterfly, in both directions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sparse_functions(), sparse_functions(integral=True)))
+    def test_coeffs_to_values(self, f):
+        values = f.values
+        assert values == oracle_values(f.n, f.coeffs)
+        if all(isinstance(c, int) or c.denominator == 1 for c in f.coeffs.values()):
+            assert all(isinstance(v, int) for v in values)
+        assert nonzero_mask(v != 0 for v in values) == nonzero_mask(values)
+        assert nonzero_mask(values) == sum(1 << c for c, v in enumerate(values) if v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(sparse_functions(), sparse_functions(integral=True)))
+    def test_values_to_coeffs(self, f):
+        back = CutFunction.from_values(f.n, oracle_values(f.n, f.coeffs)).coeffs
+        assert back == f.coeffs
+        assert all(isinstance(c, Fraction) for c in back.values())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 7), st.data())
+    def test_dense_values_to_coeffs(self, n, data):
+        values = data.draw(st.lists(rationals(), min_size=1 << n, max_size=1 << n))
+        f = CutFunction.from_values(n, values)
+        assert f.coeffs == oracle_coeffs(n, values)
+        assert CutFunction(n, coeffs=f.coeffs).values == values

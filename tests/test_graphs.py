@@ -298,3 +298,10 @@ class TestQueriesMatchSearchLoops:
         copy = g.permuted(Permutation.random(g.n, random.Random(seed)))
         assert _graph_answers(copy) == _loop_answers(copy)
         assert _graph_answers(g) == before == _loop_answers(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_json_roundtrip(g):
+    back = InputGraph.from_json(json.loads(json.dumps(g.to_json())))
+    assert back == g and back.to_json() == g.to_json()

@@ -1,8 +1,11 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchnet.cuts import CutFunction, is_edge_invariant
 from switchnet.graphs import InputGraph, chain_with_lollipops
@@ -32,7 +35,7 @@ from switchnet.parity import build_chain_lollipop
 from switchnet.subsets import k_subsets
 from switchnet.sums import s_single, sum_of_squares
 
-from conftest import pointwise_product, random_sparse_function
+from conftest import pointwise_product, random_sparse_function, rationals
 
 SHORT_CHAIN = InputGraph(2, {("s", 1), (1, 2), (2, "t")})
 LONG_CHAIN = InputGraph(6, {("s", 1), (1, 2), (2, 3), (3, 4), (4, "t")})
@@ -273,6 +276,25 @@ class TestTableSerialization:
         back = SumVectorTable.from_json(blob)
         assert back.vectors == table.vectors
         assert back.tags == table.tags
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 3), st.booleans(), st.data())
+    def test_json_roundtrip_property(self, n, max_level, tagged, data):
+        """Tables holding ints and Fractions, with and without tags."""
+        keys = [(k, total - k) for total in range(max_level + 1) for k in range(total + 1)]
+        vectors = {key: data.draw(st.lists(st.one_of(rationals(), rationals(integral=True)),
+                                           min_size=len(k_subsets(n, key[0])),
+                                           max_size=len(k_subsets(n, key[0]))))
+                   for key in keys}
+        tags = {key: [data.draw(st.sampled_from(["fixed", "free"])) for _ in vec]
+                for key, vec in vectors.items()} if tagged else {}
+        table = SumVectorTable(n, max_level, vectors, tags, z=data.draw(st.none() | st.integers(1, 4)))
+        back = SumVectorTable.from_json(json.loads(json.dumps(table.to_json())))
+        assert (back.n, back.max_level, back.z) == (table.n, table.max_level, table.z)
+        assert back.vectors == table.vectors
+        assert back.tags == {key: tag for key, tag in table.tags.items() if tag}
+        assert back.to_json() == table.to_json()
 
 
 class TestDiagnostics:

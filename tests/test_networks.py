@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchnet.cuts import CutFunction, edge_crosses, iter_cuts, maximal_no_instance
 from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops
@@ -177,3 +179,24 @@ class TestSerialization:
             SwitchingNetwork(2, ["a", "b"], "a", "b", [NetEdge("a", "b", (1, 9))])
         with pytest.raises(ValueError):
             SwitchingNetwork(2, ["a", "b"], "a", "b", [NetEdge("a", "b", (1, 1))])
+
+
+@st.composite
+def networks(draw):
+    """Small networks with int and string vertex ids and some negated edges."""
+    n = draw(st.integers(1, 6))
+    vertices = draw(st.lists(st.one_of(st.integers(-50, 50), st.text(max_size=3)),
+                             min_size=2, max_size=8, unique=True))
+    tails, heads = ["s", *range(1, n + 1)], [*range(1, n + 1), "t"]
+    labels = st.tuples(st.sampled_from(tails), st.sampled_from(heads)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(st.builds(NetEdge, st.sampled_from(vertices), st.sampled_from(vertices),
+                                    labels, st.booleans()), max_size=12))
+    return SwitchingNetwork(n, vertices, vertices[0], vertices[-1], edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks())
+def test_json_roundtrip_property(net):
+    back = SwitchingNetwork.from_json(json.loads(json.dumps(net.to_json())))
+    assert (back.n, back.vertices, back.s_node, back.t_node, back.edges) == (
+        net.n, net.vertices, net.s_node, net.t_node, net.edges)

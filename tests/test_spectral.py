@@ -4,7 +4,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from switchnet import lowerbound
 from switchnet.spectral import (
     SingularSystemError,
     inclusion_matrix,
@@ -12,6 +15,8 @@ from switchnet.spectral import (
     min_norm_solve,
     restricted_gram_min_eigenvalue,
 )
+
+from conftest import layered_dag, rationals
 
 
 class TestInclusionMatrix:
@@ -183,3 +188,84 @@ def _exact_rank(P):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def fraction_gauss_jordan(gram, rhs):
+    """Gauss-Jordan elimination in Fraction arithmetic: the oracle of the
+    Bareiss solve."""
+    r = len(gram)
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(gram)]
+    for col in range(r):
+        pivot = next((i for i in range(col, r) if aug[i][col] != 0), None)
+        if pivot is None:
+            raise SingularSystemError("normal matrix P P^T is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(r):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [aug[i][r] for i in range(r)]
+
+
+def oracle_min_norm(P, x):
+    """(y, w) from the Fraction Gram and the Fraction Gauss-Jordan solve."""
+    r, c = len(P), len(P[0])
+    gram = [[sum((Fraction(a) * b for a, b in zip(P[i], P[j])), start=Fraction(0)) for j in range(r)]
+            for i in range(r)]
+    w = fraction_gauss_jordan(gram, x)
+    return [sum((P[i][j] * w[i] for i in range(r)), start=Fraction(0)) for j in range(c)], w
+
+
+def assert_matches_oracle(P, x):
+    try:
+        expected = oracle_min_norm(P, x)
+    except SingularSystemError:
+        with pytest.raises(SingularSystemError):
+            min_norm_solve(P, x)
+        return
+    y, w = min_norm_solve(P, x, return_witness=True)
+    assert (y, w) == expected
+    assert all(isinstance(v, Fraction) for v in y + w)
+
+
+class TestIntegerSolve:
+    """The integer Gram and Bareiss solve against the Fraction oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 10), st.data())
+    def test_zero_one_matrices(self, r, c, data):
+        P = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=c, max_size=c), min_size=r, max_size=r))
+        x = data.draw(st.lists(rationals(), min_size=r, max_size=r))
+        assert_matches_oracle(P, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 7), st.data())
+    def test_rational_matrices(self, r, c, data):
+        P = data.draw(st.lists(st.lists(rationals(), min_size=c, max_size=c), min_size=r, max_size=r))
+        x = data.draw(st.lists(rationals(), min_size=r, max_size=r))
+        assert_matches_oracle(P, x)
+
+    def test_numerators_past_64_bits_are_exact(self):
+        big = 2**70 + 3
+        P = [[Fraction(big, 3), 1, 0, Fraction(1, big)], [0, 1, Fraction(-big, 7), 2], [1, 1, 1, 1]]
+        x = [Fraction(big * big, 5), -big, Fraction(1, 3)]
+        y, w = min_norm_solve(P, x, return_witness=True)
+        assert (y, w) == oracle_min_norm(P, x)
+        assert max(abs(v.numerator) for v in y) > 2**63
+        assert [sum(a * b for a, b in zip(row, y)) for row in P] == x
+
+    @pytest.mark.parametrize("dims, z", [((2, 2, 2, 9), 3), ((3, 3, 2, 10), 3)])
+    def test_base_function_systems(self, monkeypatch, dims, z):
+        systems = []
+
+        def recording(P, x, **kwargs):
+            systems.append(([list(row) for row in P], list(x)))
+            return min_norm_solve(P, x, **kwargs)
+
+        monkeypatch.setattr(lowerbound, "min_norm_solve", recording)
+        lowerbound.build_base_function(layered_dag(*dims), z)
+        assert systems
+        for P, x in systems:
+            assert_matches_oracle(P, x)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,14 +15,16 @@ from switchnet.sums import (
     pair_sum_from_triples,
     permutation_average_bruteforce,
     permutation_average_formula,
+    permutation_bound_sum,
     s_single,
+    scatter_sums,
     s_triple,
     square_sum_binomial_bound,
     sum_of_squares,
     triple_from_singles,
 )
 
-from conftest import random_sparse_function
+from conftest import random_sparse_function, sparse_functions
 
 
 def brute_s_triple(g1, g2, k, u1, u2):
@@ -215,3 +218,60 @@ def test_triple_reconstruction_property(n, seed):
         for u1 in range(0, 2):
             for u2 in range(0, 2):
                 assert triple_from_singles(g1, g2, k, u1, u2) == s_triple(g1, g2, k, u1, u2)
+
+
+def gather_pair_sum(g1, g2, k, u1, u2):
+    """One s_single gather per k-subset and function: the oracle of the
+    scatter-table pair sum."""
+    total = Fraction(0)
+    for A in combinations(range(1, g1.n + 1), k):
+        a = s_single(g1, A, u1)
+        if a == 0:
+            continue
+        b = s_single(g2, A, u2)
+        if b != 0:
+            total += a * b
+    return total
+
+
+def gather_bound_sum(g, z):
+    n = g.n
+    total = Fraction(0)
+    for k in range(0, z + 1):
+        for u in range(0, z - k + 1):
+            sq = gather_pair_sum(g, g, k, u, u)
+            if sq != 0:
+                total += Fraction(2**k * factorial(k + u), n ** (k + u)) * sq
+    return 2 * (z + 1) * total
+
+
+class TestScatterSums:
+    """The scatter table and the sums that read it against the gathers."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(sparse_functions(max_n=7), sparse_functions(max_n=7, integral=True)))
+    def test_table_matches_s_single(self, g):
+        n = g.n
+        keys = [(k, u) for k in range(n + 1) for u in range(n + 1 - k)]
+        den, table = scatter_sums(g, keys)
+        for k, u in keys:
+            sums = table[(k, u)]
+            assert all(len(A) == k for A in sums)
+            for A in combinations(range(1, n + 1), k):
+                assert Fraction(sums.get(A, 0), den) == s_single(g, A, u)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_functions(max_n=7), st.data())
+    def test_pair_sum_matches_gather(self, g1, data):
+        n = g1.n
+        g2 = data.draw(sparse_functions(n=n, integral=True))
+        k = data.draw(st.integers(0, n))
+        u1, u2 = data.draw(st.integers(-1, n - k)), data.draw(st.integers(-1, n - k))
+        assert pair_sum(g1, g2, k, u1, u2) == gather_pair_sum(g1, g2, k, u1, u2)
+        assert pair_sum(g1, g1, k, u1, u2) == gather_pair_sum(g1, g1, k, u1, u2)
+        assert sum_of_squares(g2, k, u2) == gather_pair_sum(g2, g2, k, u2, u2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_functions(max_n=8), st.integers(0, 4))
+    def test_bound_sum_matches_gather(self, g, z):
+        assert permutation_bound_sum(g, z) == gather_bound_sum(g, z)
