@@ -67,6 +67,23 @@ def _require(ok, message):
         raise UsageError(message)
 
 
+def _vertices(text, n, flag, terminals=()):
+    """The comma-separated vertices of a flag: ints in 1..n, or the given
+    terminal names."""
+    out = []
+    for token in text.split(","):
+        if token in terminals:
+            out.append(token)
+            continue
+        try:
+            v = int(token)
+        except ValueError:
+            raise UsageError(f"{flag}: {token!r} is not a vertex") from None
+        _require(1 <= v <= n, f"{flag}: vertex {v} outside 1..{n}")
+        out.append(v)
+    return out
+
+
 def _load(path, from_json):
     try:
         with open(path) as fh:
@@ -121,14 +138,15 @@ def _detect_chain(graph):
 def cmd_build_upper(args):
     _require(args.z >= 1, f"need --z >= 1, got {args.z}")
     graph = _load_graph(args.graph)
+    g0 = _vertices(args.g0, graph.n, "--g0") if args.g0 else None
     if not args.out:
-        return _build_upper(args, graph, None)
+        return _build_upper(args, graph, g0, None)
     # opened before the build, so that an unwritable path fails fast
     with _out(args.out) as fh:
-        return _build_upper(args, graph, fh)
+        return _build_upper(args, graph, g0, fh)
 
 
-def _build_upper(args, graph, out):
+def _build_upper(args, graph, g0, out):
     if args.mode == "chain":
         k = _detect_chain(graph)
         result = parity.build_chain_lollipop(graph.n, k, seed=args.seed)
@@ -136,9 +154,7 @@ def _build_upper(args, graph, out):
         bound = result.size_bound
         family = result.placements
     else:
-        if args.g0:
-            g0 = [int(v) for v in args.g0.split(",")]
-        else:
+        if g0 is None:
             # vertices touching a middle-to-middle edge form the core; a bare
             # s->v->t path contributes its interior vertex
             g0 = sorted(
@@ -195,12 +211,13 @@ def cmd_build_base(args):
 def cmd_certify_lower(args):
     _require(args.z >= 1, f"need --z >= 1, got {args.z}")
     graph = _load_graph(args.graph)
+    e0 = None
+    if args.e0:
+        e0 = tuple(_vertices(args.e0, graph.n, "--e0", ("s", "t")))
+        _require(e0 in graph.edges, f"--e0 {args.e0} is not a graph edge")
     hypotheses = lowerbound.low_connectivity_hypotheses(graph, args.z)
     try:
         family, table, diag = lowerbound.build_invariant_family(graph, args.z, seed=args.seed)
-        e0 = tuple(args.e0.split(",")) if args.e0 else None
-        if e0:
-            e0 = tuple(int(x) if x not in ("s", "t") else x for x in e0)
         cert = lowerbound.lower_bound_certificate(graph, family, e0=e0)
     except (ValueError, ZeroDivisionError, lowerbound.ConstructionError) as exc:
         _emit(_report({"error": str(exc), "hypothesis_flags": hypotheses}, seed=args.seed))

@@ -10,10 +10,14 @@ vertex subsets; the character e_V takes the value (-1)**|V & L(C)|.
 Arithmetic is exact: scalars are ints or fractions.Fraction, and the dense
 transforms run on Python ints over one common denominator per function.
 Every identity checked elsewhere in the package relies on that exactness.
+Values from coefficients are computed on the subcube of the support (the
+vertices the coefficients' sets touch), 2**|support| entries, and then
+lifted to all 2**n cuts; the value depends on no other vertex.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from operator import add, sub
 
@@ -103,6 +107,33 @@ def _walsh(vals, n):
     return vals
 
 
+def _support_values(coeffs, n):
+    """The 2**n values of sum_V c(V) e_V, transformed on the subcube of the
+    support U (the union of the V) and then lifted to every cut.
+
+    The dense table has 2**|U| entries, bit j of its index standing for the
+    j-th vertex of U; its values are divided by the common denominator
+    before the lift.  The lift runs over the cut bits from low to high and
+    keeps the table as consecutive blocks of 2**b entries, the cuts that
+    agree above bit b: a bit in U joins blocks 2i and 2i+1 (the next block
+    size needs no copy), a bit outside U doubles each block (blk + blk).
+    When U holds all n vertices nothing is lifted."""
+    bit = {v: 1 << j for j, v in enumerate(sorted(set().union(*coeffs)))}
+    den = common_denominator(coeffs.values())
+    dense = [0] * (1 << len(bit))
+    for V, c in coeffs.items():
+        dense[sum(bit[v] for v in V)] = c.numerator * (den // c.denominator)
+    values = _walsh(dense, len(bit))
+    if den != 1:
+        values = [Fraction(v, den) for v in values]
+    for b in range(n):
+        if b + 1 not in bit:
+            run = 1 << b
+            values = list(chain.from_iterable(
+                values[i:i + run] * 2 for i in range(0, len(values), run)))
+    return values
+
+
 class Permutation:
     """A bijection on the middle vertices {1..n}; s and t are fixed."""
 
@@ -175,12 +206,14 @@ class CutFunction:
         self._values = None
         if coeffs is not None:
             clean = {}
+            vertices = set()
             for V, c in dict(coeffs).items():
                 key = frozenset(V)
-                for v in key:
-                    _check_vertex(v, n)
+                vertices |= key
                 if c != 0:
                     clean[key] = c
+            for v in vertices:
+                _check_vertex(v, n)
             self._coeffs = clean
         if values is not None:
             values = list(values)
@@ -210,12 +243,7 @@ class CutFunction:
         if self._values is None:
             if self.n > DENSE_CAP:
                 raise ValueError(f"dense representation refused for n={self.n} > {DENSE_CAP}")
-            den = common_denominator(self._coeffs.values())
-            dense = [0] * (1 << self.n)
-            for V, c in self._coeffs.items():
-                dense[_mask_of(V, self.n)] = c.numerator * (den // c.denominator)
-            values = _walsh(dense, self.n)
-            self._values = values if den == 1 else [Fraction(v, den) for v in values]
+            self._values = _support_values(self._coeffs, self.n)
         return self._values
 
     @property

@@ -471,32 +471,26 @@ def extend_invariant(g: CutFunction, edge, z: int) -> CutFunction:
     if not _nondegenerate(edge, g.n):
         raise ValueError(f"degenerate edge {edge!r}")
     _check_extension_precondition(g, edge, z)
-    n = g.n
     tail, head = edge
-    co = dict(g.coeffs)
-
-    def c(V):
-        return g.coeffs.get(frozenset(V), Fraction(0))
-
-    for combo in combinations(range(1, n + 1), z):
-        V = frozenset(combo)
+    base = g.coeffs
+    co = dict(base)
+    # only z-subsets holding the edge's middle endpoint (the anchor) can get
+    # a value; combinations of the other vertices come in the order of the
+    # full walk, so the new keys keep their order
+    anchor = head if tail == "s" else tail
+    others = [v for v in range(1, g.n + 1) if v != anchor]
+    for combo in combinations(others, z - 1):
+        rest = frozenset(combo)
         if tail == "s":
-            w = head
-            val = -c(V - {w}) if w in V else Fraction(0)
-        elif head == "t":
-            v = tail
-            val = c(V - {v}) if v in V else Fraction(0)
+            val = -base.get(rest, 0)
+        elif head == "t" or head not in rest:
+            val = base.get(rest, 0)
         else:
-            v, w = tail, head
-            if v in V and w in V:
-                val = -c(V - {w}) + c(V - {v}) + c(V - {v, w})
-            elif v in V:
-                val = c(V - {v})
-            else:
-                val = Fraction(0)
+            without_w = rest - {head}
+            val = -base.get(without_w | {tail}, 0) + base.get(rest, 0) + base.get(without_w, 0)
         if val != 0:
-            co[V] = val
-    return CutFunction(n, coeffs=co)
+            co[rest | {anchor}] = val
+    return CutFunction(g.n, coeffs=co)
 
 
 def cutoff_case(edge, A) -> str:

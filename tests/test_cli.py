@@ -156,6 +156,16 @@ class TestCertifyLower:
         assert report["max_sum"] == float(max_sum)
 
 
+    def test_vertex_flags_reach_the_build(self, chain_files, capsys):
+        gpath, _ = chain_files
+        assert run(["certify-lower", "--graph", gpath, "--z", 1, "--e0", "1,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["certificate"]["e0"] == [1, 2]
+        graph = InputGraph(4, {("s", 1), (1, 2), (2, "t"), ("s", 3), ("s", 4)})
+        gpath.write_text(json.dumps(graph.to_json()))
+        assert run(["build-upper", "--mode", "general", "--graph", gpath, "--g0", "1,2", "--z", 2]) == 0
+        assert json.loads(capsys.readouterr().out)["size"] > 0
+
+
 class TestPebbleCommand:
     def test_min(self, tmp_path, capsys):
         graph = InputGraph(2, {("s", 1), (1, 2), (2, "t")})
@@ -268,7 +278,9 @@ class TestUnwritableOut:
 
 class TestParameterDomain:
     """A parameter outside its command's domain is a usage error: exit 2 and
-    one JSON error line on stderr, nothing on stdout."""
+    one JSON error line on stderr, nothing on stdout.  --e0 and --g0 are
+    checked before any build: a token that is not an integer, a vertex
+    outside 1..n, or an e0 that is not a graph edge."""
 
     @pytest.mark.parametrize("argv", [
         ["spectra", "--n", 4, "--k", 3],
@@ -276,8 +288,21 @@ class TestParameterDomain:
         ["build-base", "--graph", "g.json", "--z", 0],
         ["certify-lower", "--graph", "g.json", "--z", 0],
         ["build-upper", "--mode", "general", "--graph", "g.json", "--z", 0],
-    ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z"])
-    def test_exits_two(self, tmp_path, capsys, argv):
+        ["certify-lower", "--graph", "g.json", "--z", 1, "--e0", "garbage"],
+        ["certify-lower", "--graph", "g.json", "--z", 1, "--e0", "s,99"],
+        ["certify-lower", "--graph", "g.json", "--z", 1, "--e0", "2,1"],
+        ["certify-lower", "--graph", "g.json", "--z", 1, "--e0", "s,1,2"],
+        ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "x,y"],
+        ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "1,5"],
+        ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "0"],
+    ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z",
+            "e0-token", "e0-range", "e0-not-edge", "e0-three-vertices", "g0-token", "g0-range", "g0-zero"])
+    def test_exits_two(self, tmp_path, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the build ran before its parameters were checked")
+
+        monkeypatch.setattr(lowerbound, "build_invariant_family", refuse)
+        monkeypatch.setattr(parity, "build_general_network", refuse)
         (tmp_path / "g.json").write_text(json.dumps(chain_with_lollipops(4, 2).to_json()))
         assert run([tmp_path / a if a == "g.json" else a for a in argv]) == 2
         captured = capsys.readouterr()

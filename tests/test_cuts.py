@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchnet import cuts
 from switchnet.cuts import (
     CutFunction,
     Permutation,
@@ -372,3 +373,48 @@ class TestIntegerTransform:
         f = CutFunction.from_values(n, values)
         assert f.coeffs == oracle_coeffs(n, values)
         assert CutFunction(n, coeffs=f.coeffs).values == values
+
+
+@st.composite
+def subcube_functions(draw):
+    """Functions on n <= 14 whose coefficients sit on 0-4 support vertices,
+    or whose support is all n vertices; coefficients may be zero, integral or
+    over mixed denominators."""
+    n = draw(st.integers(1, 14))
+    support = sorted(draw(st.frozensets(st.integers(1, n), max_size=4)))
+    keys = st.frozensets(st.sampled_from(support)) if support else st.just(frozenset())
+    coeffs = draw(st.dictionaries(keys, rationals(), max_size=6))
+    if draw(st.booleans()):
+        coeffs[frozenset(range(1, n + 1))] = draw(rationals())
+    return CutFunction(n, coeffs=coeffs)
+
+
+class TestSupportSubcube:
+    """Values are transformed on the support's subcube, then lifted to all
+    2**n cuts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(subcube_functions())
+    def test_values_match_fraction_butterfly(self, f):
+        assert f.values == oracle_values(f.n, f.coeffs)
+
+    @pytest.mark.parametrize("n", [1, 9, 14])
+    def test_zero_function(self, n):
+        zero = CutFunction(n, coeffs={frozenset([1]): 0, frozenset(range(1, n + 1)): Fraction(0, 7)})
+        assert zero.values == [0] * (1 << n)
+
+    def test_one_vertex_transforms_two_entries(self, monkeypatch):
+        sizes = []
+        walsh = cuts._walsh
+
+        def recording(vals, n):
+            sizes.append(len(vals))
+            return walsh(vals, n)
+
+        monkeypatch.setattr(cuts, "_walsh", recording)
+        f = CutFunction(15, coeffs={frozenset(): Fraction(1, 3), frozenset([9]): Fraction(-2, 5)})
+        values = f.values
+        assert sizes == [2]
+        assert len(values) == 1 << 15
+        assert {values[c] for c in range(1 << 15) if not (c >> 8) & 1} == {Fraction(-1, 15)}
+        assert {values[c] for c in range(1 << 15) if (c >> 8) & 1} == {Fraction(11, 15)}

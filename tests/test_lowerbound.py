@@ -2,12 +2,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchnet.cuts import CutFunction, is_edge_invariant
+from switchnet.cuts import CutFunction, common_denominator, is_edge_invariant
 from switchnet.graphs import InputGraph, chain_with_lollipops
 from switchnet.lowerbound import (
     REPRESENTATIVE_TOP,
@@ -354,6 +355,53 @@ class TestExtendInvariant:
         bad = CutFunction.constant(3, Fraction(1)) + CutFunction.character(3, {1})
         with pytest.raises(ValueError):
             extend_invariant(bad, ("s", 1), 2)  # needs coeff({1}) = -coeff({})
+
+
+def full_walk_extension(g, edge, z):
+    """The extension by the definitional walk over all C(n, z) z-subsets,
+    Fraction(0) where a subset gets no value: the oracle of the anchored walk."""
+    tail, head = edge
+    co = dict(g.coeffs)
+
+    def c(V):
+        return g.coeffs.get(frozenset(V), Fraction(0))
+
+    for combo in combinations(range(1, g.n + 1), z):
+        V = frozenset(combo)
+        if tail == "s":
+            val = -c(V - {head}) if head in V else Fraction(0)
+        elif head == "t":
+            val = c(V - {tail}) if tail in V else Fraction(0)
+        elif tail in V and head in V:
+            val = -c(V - {head}) + c(V - {tail}) + c(V - {tail, head})
+        elif tail in V:
+            val = c(V - {tail})
+        else:
+            val = Fraction(0)
+        if val != 0:
+            co[V] = val
+    return CutFunction(g.n, coeffs=co)
+
+
+class TestAnchoredExtension:
+    """extend_invariant walks only the z-subsets holding the edge's anchor;
+    coefficients, key order and JSON equal the full walk's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_matches_full_walk(self, n, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        u, v = data.draw(st.permutations(range(1, n + 1)))[:2]
+        integral = data.draw(st.booleans())
+        for edge in [("s", u), (u, "t"), (u, v)]:
+            for z in range(1, n + 1):
+                base = admissible_base(n, edge, z, rng)
+                if integral:
+                    scale = common_denominator(base.coeffs.values())
+                    base = CutFunction(n, coeffs={V: int(c * scale) for V, c in base.coeffs.items()})
+                got, want = extend_invariant(base, edge, z), full_walk_extension(base, edge, z)
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
+                assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
 class TestCutoffSums:
