@@ -7,9 +7,9 @@ reports apart from the timestamp.  Exit codes: 0 success, 1 property
 violation / hypothesis failure, 2 usage error (including an unreadable
 input file or an --out path that cannot be written).
 
-Environment overrides: SWITCHNET_TOL (float tolerance).  SWITCHNET_WORKERS
-and --workers are still accepted for compatibility but select nothing:
-every verification sweep runs as one single-process pass.
+Environment overrides: SWITCHNET_TOL (float tolerance).  --workers is still
+accepted for compatibility but selects nothing: every verification sweep
+runs as one single-process pass.
 """
 
 import argparse
@@ -22,12 +22,17 @@ from datetime import datetime, timezone
 
 from . import lowerbound, parity, pebbles, spectral
 from .cuts import random_sparse_function
-from .graphs import InputGraph, all_distinct_permuted_copies
+from .graphs import InputGraph, all_distinct_permuted_copies, orbit_bound
 from .networks import SwitchingNetwork
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+
+# build-upper --verify checks completeness over the permuted copies of a
+# general build's graph when their count's bound `orbit_bound` is at most
+# this: 8!, so every graph on n <= 8 vertices qualifies.
+ORBIT_VERIFY_CAP = 40320
 
 
 def _report(payload, seed=None, mode="exact-rational"):
@@ -139,6 +144,7 @@ def cmd_build_upper(args):
     _require(args.z >= 1, f"need --z >= 1, got {args.z}")
     graph = _load_graph(args.graph)
     g0 = _vertices(args.g0, graph.n, "--g0") if args.g0 else None
+    _require(g0 is None or len(set(g0)) == len(g0), f"--g0: repeated core vertex in {args.g0}")
     if not args.out:
         return _build_upper(args, graph, g0, None)
     # opened before the build, so that an unwritable path fails fast
@@ -169,7 +175,8 @@ def _build_upper(args, graph, g0, out):
         result = parity.build_general_network(graph, g0, args.z, seed=args.seed)
         net = result.network
         bound = result.h_bound
-        family = all_distinct_permuted_copies(result.graph) if result.graph.n <= 8 else None
+        family = (all_distinct_permuted_copies(result.graph)
+                  if orbit_bound(result.graph) <= ORBIT_VERIFY_CAP else None)
     payload = {"mode": args.mode, "size": net.size, "bound": bound, "within_bound": net.size <= bound}
     if args.verify:
         payload["sound"] = net.is_sound()
@@ -251,7 +258,7 @@ def cmd_pebble(args):
                 _emit(_report({"error": "no s->t path"}, seed=args.seed))
                 return EXIT_VIOLATION
         else:
-            path = [x if x in ("s", "t") else int(x) for x in args.savitch.split(",")]
+            path = _vertices(args.savitch, graph.n, "--savitch", ("s", "t"))
         states = pebbles.savitch_sequence(graph, path)
         report = _report(
             {
@@ -331,7 +338,7 @@ def build_parser():
         description="Monotone switching networks for directed connectivity: "
         "certificates, constructions, and brute-force verification.",
     )
-    parser.add_argument("--workers", type=int, default=int(os.environ.get("SWITCHNET_WORKERS", 1)),
+    parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; sweeps run as one single-process pass")
     sub = parser.add_subparsers(dest="command", required=True)
 

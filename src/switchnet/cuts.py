@@ -222,10 +222,6 @@ class CutFunction:
             self._values = values
 
     @classmethod
-    def from_coeffs(cls, n, coeffs):
-        return cls(n, coeffs=coeffs)
-
-    @classmethod
     def from_values(cls, n, values):
         return cls(n, values=values)
 
@@ -269,10 +265,6 @@ class CutFunction:
 
     def coeff(self, V):
         return self.coeffs.get(frozenset(V), 0)
-
-    @property
-    def support(self):
-        return set(self.coeffs)
 
     def degree(self):
         return max((len(V) for V in self.coeffs), default=0)

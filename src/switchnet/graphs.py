@@ -2,6 +2,36 @@
 
 from collections import deque
 from itertools import combinations
+from math import factorial, prod
+
+
+def bfs(start, step, goal=None):
+    """Breadth-first search from start.  step(x) yields (y, via) pairs in the
+    order they are tried; the first pair to reach y links it to its parent,
+    links[y] = (x, via), and links[start] is None.  Returns the links, in
+    visiting order, and the first vertex reached that satisfies goal (None
+    when none does, or without a goal, after visiting everything)."""
+    links = {start: None}
+    if goal is not None and goal(start):
+        return links, start
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y, via in step(x):
+            if y not in links:
+                links[y] = (x, via)
+                if goal is not None and goal(y):
+                    return links, y
+                queue.append(y)
+    return links, None
+
+
+def trace(links, end):
+    """The vertices on the BFS path from the start to end, in order."""
+    path = [end]
+    while links[path[-1]] is not None:
+        path.append(links[path[-1]][0])
+    return path[::-1]
 
 
 def _valid_vertex(v, n):
@@ -43,22 +73,19 @@ class InputGraph:
         return range(1, self.n + 1)
 
     def _tree(self, source, reverse=False):
-        """BFS tree from source, along edges or against them when reverse:
-        {vertex: (distance, parent)}.  Neighbours are tried in str order, so
-        each parent, and hence shortest_st_path, is deterministic.  Memoized:
-        the graph is immutable, and no caller may see or mutate the dict."""
+        """BFS from source, along edges or against them when reverse: the
+        parent links (see `bfs`) and each reached vertex's distance.
+        Neighbours are tried in str order, so each parent, and hence
+        shortest_st_path, is deterministic.  Memoized: the graph is
+        immutable, and no caller may see or mutate the dicts."""
         key = (source, reverse)
         if key not in self._trees:
             adjacency = self._pred if reverse else self._succ
-            tree = {source: (0, None)}
-            queue = deque([source])
-            while queue:
-                x = queue.popleft()
-                for w in sorted(adjacency.get(x, ()), key=str):
-                    if w not in tree:
-                        tree[w] = (tree[x][0] + 1, x)
-                        queue.append(w)
-            self._trees[key] = tree
+            links, _ = bfs(source, lambda x: ((w, None) for w in sorted(adjacency.get(x, ()), key=str)))
+            dist = {}
+            for v, link in links.items():
+                dist[v] = 0 if link is None else dist[link[0]] + 1
+            self._trees[key] = links, dist
         return self._trees[key]
 
     def bounded_reach(self, v, depth: int):
@@ -67,18 +94,17 @@ class InputGraph:
             raise ValueError(f"unknown vertex {v!r}")
         if depth < 0:
             raise ValueError("depth must be >= 0")
-        return {w for w, (d, _) in self._tree(v).items() if 0 < d <= depth}
+        return {w for w, d in self._tree(v)[1].items() if 0 < d <= depth}
 
     def distance(self, u, v):
         """BFS edge-count distance from u to v, or None when unreachable."""
-        entry = self._tree(u).get(v)
-        return None if entry is None else entry[0]
+        return self._tree(u)[1].get(v)
 
     def linkage_degree(self, depth: int) -> int:
         """max over vertices v of |{w != v : v reaches w or w reaches v within depth}|."""
         return max(
             len({w for reverse in (False, True)
-                 for w, (d, _) in self._tree(v, reverse).items() if 0 < d <= depth})
+                 for w, d in self._tree(v, reverse)[1].items() if 0 < d <= depth})
             for v in self.vertices
         )
 
@@ -88,20 +114,15 @@ class InputGraph:
 
     def shortest_st_path(self):
         """One shortest s->t path as a vertex list, or None."""
-        tree = self._tree("s")
-        if "t" not in tree:
-            return None
-        path = ["t"]
-        while path[-1] != "s":
-            path.append(tree[path[-1]][1])
-        return path[::-1]
+        links = self._tree("s")[0]
+        return trace(links, "t") if "t" in links else None
 
     def has_st_path(self):
         return self.shortest_st_path_length() is not None
 
     def is_acyclic(self):
         """No edge (u, v) closes a cycle, i.e. no edge has u reachable from v."""
-        return not any(u in self._tree(v) for u, v in self.edges)
+        return not any(u in self._tree(v)[1] for u, v in self.edges)
 
     def permuted(self, sigma):
         return InputGraph(self.n, {(sigma(u), sigma(v)) for u, v in self.edges})
@@ -144,6 +165,12 @@ def _swap_classes(graph: InputGraph):
         else:
             classes.append([v])
     return classes
+
+
+def orbit_bound(graph: InputGraph) -> int:
+    """n!/prod |C|! over the swap classes C: the number of canonical maps
+    all_distinct_permuted_copies walks, which bounds the copies it returns."""
+    return factorial(graph.n) // prod(factorial(len(cls)) for cls in _swap_classes(graph))
 
 
 def all_distinct_permuted_copies(graph: InputGraph):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cuts import CutFunction, crossing_mask, full_cut_mask
-from .graphs import InputGraph
+from .graphs import InputGraph, bfs, trace
 
 
 @dataclass(frozen=True)
@@ -162,22 +162,8 @@ class SwitchingNetwork:
             if (e.label in graph.edges) != e.negated:
                 adj.setdefault(e.u, []).append((e.v, e))
                 adj.setdefault(e.v, []).append((e.u, e))
-        prev = {self.s_node: None}
-        queue = deque([self.s_node])
-        while queue:
-            x = queue.popleft()
-            if x == self.t_node:
-                path = []
-                while prev[x] is not None:
-                    y, e = prev[x]
-                    path.append(e)
-                    x = y
-                return path[::-1]
-            for y, e in adj.get(x, ()):
-                if y not in prev:
-                    prev[y] = (x, e)
-                    queue.append(y)
-        return None
+        links, end = bfs(self.s_node, lambda x: adj.get(x, ()), lambda x: x == self.t_node)
+        return None if end is None else [links[y][1] for y in trace(links, end)[1:]]
 
     def reduce_by_lollipop(self, w):
         """Contract edges labeled s->w and drop every edge mentioning w.

@@ -130,19 +130,43 @@ def can_go(f, g, edge, n=None) -> bool:
     return differ & ~crossing_mask(n, tuple(edge)) == 0
 
 
+def _lollipop_toggles(char, u):
+    """The two lollipop steps on one factor at vertex u, as (label, new
+    factor): s->u multiplies it by -e_{u}, u->t by e_{u}."""
+    sign, V = char
+    toggled = tuple(sorted(set(V) ^ {u}))
+    return (("s", u), (-sign, toggled)), ((u, "t"), (sign, toggled))
+
+
+def _imply(chars, w):
+    """Adjoin the factor e_{w}, as an edge v->w allows when e_{v} is a factor."""
+    return chars + ((1, (w,)),)
+
+
+def legal_steps(chars, n: int):
+    """Every legal step from the factors `chars` over vertices 1..n, as
+    (label, canonical target) pairs: per factor, both lollipop toggles at
+    each vertex in turn, then, when the factor is e_{v}, each implication v->w."""
+    for fi, char in enumerate(chars):
+        before, after = chars[:fi], chars[fi + 1 :]
+        for u in range(1, n + 1):
+            for label, new in _lollipop_toggles(char, u):
+                yield label, canonical_chars(before + (new,) + after)
+        sign, V = char
+        if sign == 1 and len(V) == 1:
+            for w in range(1, n + 1):
+                if w != V[0]:
+                    yield (V[0], w), canonical_chars(_imply(chars, w))
+
+
 def step_lollipop(kfun: KFunction, index: int, edge) -> KFunction:
     """Multiply factor `index` by -e_{v} (edge s->v) or by e_{v} (edge v->t)."""
     tail, head = edge
-    if tail == "s" and head not in ("s", "t"):
-        v, flip = head, -1
-    elif head == "t" and tail not in ("s", "t"):
-        v, flip = tail, 1
-    else:
+    v = head if tail == "s" else tail
+    if (tail == "s") == (head == "t") or v in ("s", "t"):
         raise ValueError(f"lollipop steps need an edge s->v or v->t, got {edge!r}")
-    sign, V = kfun.chars[index]
-    newV = tuple(sorted(set(V) ^ {v}))
     chars = list(kfun.chars)
-    chars[index] = (sign * flip, newV)
+    chars[index] = dict(_lollipop_toggles(chars[index], v))[(tail, head)]
     return KFunction.from_chars(chars)
 
 
@@ -153,7 +177,7 @@ def step_implication(kfun: KFunction, edge) -> KFunction:
         raise ValueError("implication steps need a middle-vertex edge")
     if (1, (v,)) not in kfun.chars:
         raise ValueError(f"factor e_{{{v}}} not present")
-    return KFunction.from_chars(kfun.chars + ((1, (w,)),))
+    return KFunction.from_chars(_imply(kfun.chars, w))
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +255,7 @@ def reduction_char_path(block, root, graph: InputGraph, start_sign=None):
     cur = _char(start_sign, block)
     path = [(cur, None)]
     for u, label in reduction_steps(block, root, graph):
-        sign, V = cur
-        if label[0] == "s":
-            sign = -sign
-        cur = (sign, tuple(sorted(set(V) - {u})))
+        cur = dict(_lollipop_toggles(cur, u))[label]
         path.append((cur, label))
     return path
 
@@ -558,30 +579,10 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
         functions[idx] = chars
 
     edges = set()
-
-    def link(a_chars, b_node, label):
-        edges.add((node_of[a_chars], b_node, label))
-
     for chars in h:
-        for fi, (sign, V) in enumerate(chars):
-            vset = set(V)
-            for u in range(1, n + 1):
-                toggled = tuple(sorted(vset ^ {u}))
-                for flip, label in ((-1, ("s", u)), (1, (u, "t"))):
-                    rest = chars[:fi] + ((sign * flip, toggled),) + chars[fi + 1 :]
-                    target = canonical_chars(rest)
-                    tnode = node_of.get(target if target is ONE else target)
-                    if tnode is not None:
-                        link(chars, tnode, label)
-            if sign == 1 and len(V) == 1:
-                v = V[0]
-                for w in range(1, n + 1):
-                    if w == v:
-                        continue
-                    target = canonical_chars(chars + ((1, (w,)),))
-                    tnode = node_of.get(target if target is ONE else target)
-                    if tnode is not None:
-                        link(chars, tnode, (v, w))
+        for label, target in legal_steps(chars, n):
+            if target in node_of:
+                edges.add((node_of[chars], node_of[target], label))
 
     net_edges = []
     seen = set()

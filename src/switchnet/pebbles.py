@@ -8,10 +8,9 @@ removed from w exactly when some pebbled vertex (or s) has an edge to w,
 so the move relation is symmetric.
 """
 
-from collections import deque
 from math import ceil, log2
 
-from .graphs import InputGraph
+from .graphs import InputGraph, bfs, trace
 from .networks import NetEdge, SwitchingNetwork
 
 STATE_CAP = 20  # search state spaces are 2**n; refuse beyond this
@@ -47,22 +46,9 @@ def moves(graph: InputGraph, state):
 def _search_win(graph: InputGraph, admit):
     """BFS over the states `admit` accepts, from the empty state; returns the
     state path to the first winning state reached, or None."""
-    start = frozenset()
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        st = queue.popleft()
-        for nxt in moves(graph, st):
-            if nxt in prev or not admit(nxt):
-                continue
-            prev[nxt] = st
-            if is_winning(nxt):
-                path = [nxt]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            queue.append(nxt)
-    return None
+    links, won = bfs(frozenset(), lambda st: ((nxt, None) for nxt in moves(graph, st) if admit(nxt)),
+                     is_winning)
+    return None if won is None else trace(links, won)
 
 
 def winning_play(graph: InputGraph, budget: int):

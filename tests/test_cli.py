@@ -81,6 +81,16 @@ class TestBuildUpper:
         assert report["sound"] and report["complete"]
 
 
+    def test_general_verify_checks_small_orbits_beyond_n8(self, tmp_path, capsys):
+        # 10!/8! = 90 copies of a 2-vertex chain core among 8 s-lollipops
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(chain_with_lollipops(10, 2).to_json()))
+        code = run(["build-upper", "--mode", "general", "--graph", gpath, "--z", 2, "--verify"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["sound"] and report["complete"] is True and report["family_size"] == 90
+
+
 class TestBuildUpperOutFailsFast:
     @pytest.mark.parametrize("mode", ["chain", "general"])
     def test_unwritable_out_exits_before_building(self, chain_files, tmp_path, monkeypatch, capsys, mode):
@@ -228,6 +238,12 @@ class TestWorkers:
         assert reports[0] == reports[1]
 
 
+    def test_workers_environment_variable_is_not_read(self, monkeypatch, capsys):
+        monkeypatch.setenv("SWITCHNET_WORKERS", "abc")
+        assert run(["formulas", "--k", 2, "--z", 2, "--n", 64]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 2
+
+
 class TestMalformedInput:
     """A bad input file exits 2 with one JSON error line on stderr."""
 
@@ -278,9 +294,10 @@ class TestUnwritableOut:
 
 class TestParameterDomain:
     """A parameter outside its command's domain is a usage error: exit 2 and
-    one JSON error line on stderr, nothing on stdout.  --e0 and --g0 are
-    checked before any build: a token that is not an integer, a vertex
-    outside 1..n, or an e0 that is not a graph edge."""
+    one JSON error line on stderr, nothing on stdout.  --e0, --g0 and
+    --savitch are checked before any build: a token that is not an integer,
+    a vertex outside 1..n, an e0 that is not a graph edge, or a repeated
+    core vertex."""
 
     @pytest.mark.parametrize("argv", [
         ["spectra", "--n", 4, "--k", 3],
@@ -295,8 +312,12 @@ class TestParameterDomain:
         ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "x,y"],
         ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "1,5"],
         ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "0"],
+        ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "1,1"],
+        ["pebble", "--graph", "g.json", "--savitch", "s,garbage,t"],
+        ["pebble", "--graph", "g.json", "--savitch", "s,9,t"],
     ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z",
-            "e0-token", "e0-range", "e0-not-edge", "e0-three-vertices", "g0-token", "g0-range", "g0-zero"])
+            "e0-token", "e0-range", "e0-not-edge", "e0-three-vertices", "g0-token", "g0-range", "g0-zero",
+            "g0-repeated", "savitch-token", "savitch-range"])
     def test_exits_two(self, tmp_path, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("the build ran before its parameters were checked")

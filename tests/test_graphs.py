@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchnet.cuts import Permutation
-from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops
+from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops, orbit_bound
 
 from conftest import random_graph, small_graphs
 
@@ -170,6 +170,17 @@ class TestOrbitEnumeration:
         copies = all_distinct_permuted_copies(g)
         assert copies == _walked_copies(g)
         assert len(copies) == math.perm(n, k)
+        assert orbit_bound(g) == math.perm(n, k)
+
+    def test_orbit_bound_bounds_the_copies(self, rng):
+        # n!/prod |C|! counts the canonical maps; distinct copies can be fewer
+        for _ in range(60):
+            g = random_graph(rng.randint(0, 6), rng, p=rng.choice([0.05, 0.3, 0.6]))
+            assert orbit_bound(g) >= len(all_distinct_permuted_copies(g))
+
+    def test_orbit_bound_of_larger_cores(self):
+        assert orbit_bound(chain_with_lollipops(10, 2)) == 90
+        assert orbit_bound(chain_with_lollipops(12, 3)) == 1320
 
 
 def _adjacency(graph, reverse=False):

@@ -1,4 +1,5 @@
 import json
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -200,3 +201,52 @@ def test_json_roundtrip_property(net):
     back = SwitchingNetwork.from_json(json.loads(json.dumps(net.to_json())))
     assert (back.n, back.vertices, back.s_node, back.t_node, back.edges) == (
         net.n, net.vertices, net.s_node, net.t_node, net.edges)
+
+
+def _loop_accepting_path(network, graph):
+    """Oracle: the search loop accepting_path ran before graphs.bfs."""
+    adj = {}
+    for e in network.edges:
+        if (e.label in graph.edges) != e.negated:
+            adj.setdefault(e.u, []).append((e.v, e))
+            adj.setdefault(e.v, []).append((e.u, e))
+    prev = {network.s_node: None}
+    queue = deque([network.s_node])
+    while queue:
+        x = queue.popleft()
+        if x == network.t_node:
+            path = []
+            while prev[x] is not None:
+                y, e = prev[x]
+                path.append(e)
+                x = y
+            return path[::-1]
+        for y, e in adj.get(x, ()):
+            if y not in prev:
+                prev[y] = (x, e)
+                queue.append(y)
+    return None
+
+
+@st.composite
+def dense_networks(draw):
+    """Networks on few nodes with many, often parallel, edges over few labels,
+    so that s'-t' walks are long and BFS ties are common."""
+    n = draw(st.integers(1, 3))
+    vertices = list(range(draw(st.integers(2, 7))))
+    tails, heads = ["s", *range(1, n + 1)], [*range(1, n + 1), "t"]
+    labels = st.tuples(st.sampled_from(tails), st.sampled_from(heads)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(st.builds(NetEdge, st.sampled_from(vertices), st.sampled_from(vertices),
+                                    labels, st.booleans()), min_size=6, max_size=24))
+    return SwitchingNetwork(n, vertices, vertices[0], vertices[-1], edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(networks(), dense_networks()), st.data())
+def test_accepting_path_matches_search_loop(net, data):
+    # the input graph holds a random subset of the network's labels, so some
+    # positive edges are missing and some negated edges are usable
+    labels = sorted({e.label for e in net.edges}, key=str)
+    present = data.draw(st.lists(st.sampled_from(labels), unique=True)) if labels else []
+    graph = InputGraph(net.n, present)
+    assert net.accepting_path(graph) == _loop_accepting_path(net, graph)

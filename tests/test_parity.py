@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchnet.cuts import CutFunction, Permutation, edge_crosses, iter_cuts
 from switchnet.graphs import InputGraph, all_distinct_permuted_copies
@@ -24,6 +26,7 @@ from switchnet.parity import (
     _greedy_pick,
     _iter_equal_partitions,
     default_z,
+    legal_steps,
     match_probability_lower_bound,
     partition_matches,
     placement_graphs,
@@ -122,6 +125,45 @@ class TestSteps:
             assert can_go(f, g, e, n=3) == direct
             fc, gc = f.to_cut_function(3), g.to_cut_function(3)
             assert can_go(fc, gc, e) == can_go(fc, g, e) == can_go(f, gc, e, n=3) == direct
+
+
+def _loop_steps(chars, n):
+    """Oracle: the edge loop build_general_network ran before legal_steps."""
+    out = []
+    for fi, (sign, V) in enumerate(chars):
+        vset = set(V)
+        for u in range(1, n + 1):
+            toggled = tuple(sorted(vset ^ {u}))
+            for flip, label in ((-1, ("s", u)), (1, (u, "t"))):
+                rest = chars[:fi] + ((sign * flip, toggled),) + chars[fi + 1 :]
+                out.append((label, canonical_chars(rest)))
+        if sign == 1 and len(V) == 1:
+            v = V[0]
+            for w in range(1, n + 1):
+                if w != v:
+                    out.append(((v, w), canonical_chars(chars + ((1, (w,)),))))
+    return out
+
+
+@st.composite
+def factor_tuples(draw):
+    n = draw(st.integers(1, 7))
+    char = st.tuples(st.sampled_from((1, -1)),
+                     st.lists(st.integers(1, n), unique=True, max_size=n).map(lambda V: tuple(sorted(V))))
+    return n, tuple(draw(st.lists(char, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_tuples())
+def test_legal_steps_match_builder_loop(case):
+    n, chars = case
+    steps = list(legal_steps(chars, n))
+    assert steps == _loop_steps(chars, n)
+    if n <= 5:
+        f = KFunction.from_chars(chars)
+        for label, target in steps:
+            g = KFunction([(1, ())]) if target is ONE else KFunction.from_chars(target)
+            assert can_go(f, g, label, n=n)
 
 
 class TestReductionGadget:
