@@ -19,8 +19,9 @@ import random
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from functools import partial
 
-from . import lowerbound, parity, pebbles, spectral
+from . import lowerbound, parity, pebbles, spectral, sums
 from .cuts import random_sparse_function
 from .graphs import InputGraph, all_distinct_permuted_copies, orbit_bound
 from .networks import SwitchingNetwork
@@ -259,6 +260,9 @@ def cmd_pebble(args):
                 return EXIT_VIOLATION
         else:
             path = _vertices(args.savitch, graph.n, "--savitch", ("s", "t"))
+            _require(path[0] == "s" and path[-1] == "t"
+                     and all(e in graph.edges for e in zip(path, path[1:])),
+                     f"--savitch {args.savitch} is not an s...t graph path")
         states = pebbles.savitch_sequence(graph, path)
         report = _report(
             {
@@ -303,16 +307,16 @@ def cmd_spectra(args):
 
 
 def cmd_verify_permutation_average(args):
-    from .sums import permutation_average_bruteforce, permutation_average_formula
-
+    _require(1 <= args.n <= sums.BRUTEFORCE_CAP, f"need 1 <= n <= {sums.BRUTEFORCE_CAP}, got n={args.n}")
+    _require(args.trials >= 1, f"need --trials >= 1, got {args.trials}")
     rng = random.Random(args.seed)
     rows = ["trial,formula,bruteforce,diff"]
     all_equal = True
     for trial in range(args.trials):
         f = random_sparse_function(args.n, rng)
         g = random_sparse_function(args.n, rng)
-        lhs = permutation_average_formula(f, g)
-        rhs = permutation_average_bruteforce(f, g)
+        lhs = sums.permutation_average_formula(f, g)
+        rhs = sums.permutation_average_bruteforce(f, g)
         diff = lhs - rhs
         all_equal = all_equal and diff == 0
         rows.append(f"{trial},{lhs},{rhs},{diff}")
@@ -341,68 +345,56 @@ def build_parser():
     parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; sweeps run as one single-process pass")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out")
+    command = partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("verify-network", help="soundness + completeness sweep")
+    p = command("verify-network", help="soundness + completeness sweep")
     p.add_argument("--net", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--family", choices=["single", "all-permutations"], default="all-permutations")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify_network)
 
-    p = sub.add_parser("build-upper", help="chain-lollipop or general network builder")
+    p = command("build-upper", help="chain-lollipop or general network builder")
     p.add_argument("--mode", choices=["chain", "general"], required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--z", type=int, default=1)
     p.add_argument("--g0", help="comma-separated core vertices (general mode)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_build_upper)
 
-    p = sub.add_parser("build-base", help="base-function table construction")
+    p = command("build-base", help="base-function table construction")
     p.add_argument("--graph", required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_build_base)
 
-    p = sub.add_parser("certify-lower", help="lower-bound certificate pipeline")
+    p = command("certify-lower", help="lower-bound certificate pipeline")
     p.add_argument("--graph", required=True)
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--e0", help="override edge, e.g. 's,1'")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_certify_lower)
 
-    p = sub.add_parser("pebble", help="pebble number or halving sequence")
+    p = command("pebble", help="pebble number or halving sequence")
     p.add_argument("--graph", required=True)
     p.add_argument("--min", action="store_true")
     p.add_argument("--savitch", help="comma-separated s..t path, or 'auto'")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_pebble)
 
-    p = sub.add_parser("spectra", help="inclusion Gram spectrum with numeric check")
+    p = command("spectra", help="inclusion Gram spectrum with numeric check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_spectra)
 
-    p = sub.add_parser("verify-permutation-average", help="formula vs all-permutations brute force")
+    p = command("verify-permutation-average", help="formula vs all-permutations brute force")
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify_permutation_average)
 
-    p = sub.add_parser("formulas", help="closed-form upper-bound record")
+    p = command("formulas", help="closed-form upper-bound record")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_formulas)
     return parser
 

@@ -21,6 +21,8 @@ from itertools import chain
 from math import lcm
 from operator import add, sub
 
+from .graphs import InputGraph, _valid_vertex
+
 DENSE_CAP = 16  # dense value arrays are 2**n long; refuse beyond this
 
 
@@ -374,8 +376,6 @@ def permute(sigma, f):
 
 def maximal_no_instance(cut: int, n: int):
     """The input graph G(C) holding every non-loop ordered pair not crossing C."""
-    from .graphs import InputGraph
-
     vertices = ["s", "t"] + list(range(1, n + 1))
     edges = set()
     for u in vertices:
@@ -391,10 +391,7 @@ def _nondegenerate(edge, n):
     tail, head = edge
     if tail == head or tail == "t" or head == "s" or (tail == "s" and head == "t"):
         return False
-    for v in (tail, head):
-        if v not in ("s", "t") and not (isinstance(v, int) and 1 <= v <= n):
-            return False
-    return True
+    return _valid_vertex(tail, n) and _valid_vertex(head, n)
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")

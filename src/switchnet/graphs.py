@@ -38,6 +38,11 @@ def _valid_vertex(v, n):
     return v in ("s", "t") or (isinstance(v, int) and 1 <= v <= n)
 
 
+def _require_count(n):
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"vertex count {n!r} is not an int >= 0")
+
+
 class InputGraph:
     """A directed graph on {s, t, 1..n}.  Immutable after construction.
 
@@ -46,6 +51,7 @@ class InputGraph:
     """
 
     def __init__(self, n: int, edges):
+        _require_count(n)
         self.n = n
         clean = set()
         for u, v in edges:

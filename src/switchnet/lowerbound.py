@@ -661,7 +661,7 @@ def lower_bound_certificate(graph: InputGraph, family: InvariantFamily, e0=None)
     The bound is rigorous whenever the hypothesis flag is clean.
     """
     family.validate()
-    edges = sorted(family.graph.edges, key=lambda e: (str(e[0]), str(e[1])))
+    edges = family.graph.sorted_edges()
     if e0 is None:
         e0 = default_e0(family.graph)
     if e0 not in family.graph.edges:
@@ -759,7 +759,7 @@ def discrepancy_sum(network, path_edges, family: InvariantFamily, e0) -> Discrep
     g0 = family.functions[e0]
     increments, per_edge = {}, {}
     total = Fraction(0)
-    for e in sorted(family.graph.edges, key=lambda x: (str(x[0]), str(x[1]))):
+    for e in family.graph.sorted_edges():
         if e == e0:
             continue
         diff = family.functions[e] - g0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cuts import CutFunction, crossing_mask, full_cut_mask
-from .graphs import InputGraph, bfs, trace
+from .graphs import InputGraph, _require_count, _valid_vertex, bfs, trace
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,23 @@ class NetEdge:
         return (self.u, self.v)
 
 
+def undirected_edges(triples):
+    """NetEdges for the (u, v, label) triples in input order, skipping loops
+    and any triple whose label already joins u and v in either direction."""
+    out, seen = [], set()
+    for u, v, label in triples:
+        if u == v or (u, v, label) in seen or (v, u, label) in seen:
+            continue
+        seen.add((u, v, label))
+        out.append(NetEdge(u, v, label))
+    return out
+
+
 class SwitchingNetwork:
     """Undirected labeled multigraph with distinguished s' and t' nodes."""
 
     def __init__(self, n: int, vertices, s_node, t_node, edges):
+        _require_count(n)
         self.n = n
         self.vertices = list(vertices)
         vertex_set = set(self.vertices)
@@ -51,7 +64,7 @@ class SwitchingNetwork:
                 raise ValueError(f"edge {e} has an endpoint outside the vertex set")
             tail, head = e.label
             for x in (tail, head):
-                if x not in ("s", "t") and not (isinstance(x, int) and 1 <= x <= n):
+                if not _valid_vertex(x, n):
                     raise ValueError(f"label vertex {x!r} outside s,t,1..{n}")
             if tail == head:
                 raise ValueError("labels must be ordered pairs of distinct vertices")

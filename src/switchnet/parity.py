@@ -25,7 +25,7 @@ from .cuts import (
     parity_mask,
 )
 from .graphs import InputGraph
-from .networks import NetEdge, SwitchingNetwork
+from .networks import SwitchingNetwork, undirected_edges
 from .pebbles import can_win_through, is_winning, network_from_states, winning_play
 
 ONE = "ONE"  # canonical form of the constant +1 function
@@ -50,6 +50,33 @@ def _greedy_pick(masks, uncovered, bounds):
             if score > best_score:
                 best, best_score = i, score
     return best
+
+
+def _greedy_cover(uncovered, masks_of, cands, settle=None):
+    """Greedy cover of the set bits of `uncovered`; returns the picked
+    candidates in order.  Each round picks by `_greedy_pick` over the masks
+    masks_of(cands, uncovered) and clears the pick's mask; a given `settle`
+    then returns settle(pick, uncovered), which may clear more bits.  `cands`
+    is a list, scored once with its bounds kept across rounds, or a function
+    drawing a fresh list that is scored every round."""
+    draw = cands if callable(cands) else None
+    if draw is None:
+        masks = masks_of(cands, uncovered)
+        bounds = [uncovered.bit_count()] * len(cands)
+    picks = []
+    while uncovered:
+        if draw is not None:
+            cands = draw()
+            masks = masks_of(cands, uncovered)
+            bounds = [uncovered.bit_count()] * len(cands)
+        i = _greedy_pick(masks, uncovered, bounds)
+        if i is None:
+            raise RuntimeError("no candidate covers any remaining item")
+        picks.append(cands[i])
+        uncovered &= ~masks[i]
+        if settle is not None:
+            uncovered = settle(cands[i], uncovered)
+    return picks
 
 
 def _char(sign, vertices):
@@ -304,36 +331,25 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
         raise ValueError("need 1 <= k <= n")
     rng = random.Random(seed)
     placements = placement_graphs(n, k)
-    uncovered = list(range(len(placements)))
     states = set()
-    orderings = []
 
-    def masks_of(cands, keep):
+    def masks_of(cands, uncovered):
         # A placement lies in order along an ordering exactly when it is one
         # of the ordering's k-subsequences; distinct bits sum to their union.
-        bit = {placements[i][0]: 1 << i for i in keep}
+        bit = {tup: 1 << i for i, (tup, _) in enumerate(placements) if uncovered >> i & 1}
         return [sum(map(bit.get, combinations(o, k), repeat(0))) for o in cands]
 
-    if n <= 8:
-        cands = list(permutations(range(1, n + 1)))
-        masks = masks_of(cands, uncovered)
-        bounds = [len(placements)] * len(cands)
-    while uncovered:
-        if n > 8:
-            cands = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(CHAIN_SAMPLE_CAP)]
-            masks = masks_of(cands, uncovered)
-            bounds = [len(placements)] * len(cands)
-        pick = _greedy_pick(masks, sum(1 << i for i in uncovered), bounds)
-        if pick is None:
-            raise RuntimeError("no ordering covers any remaining placement")
-        best = cands[pick]
-        orderings.append(best)
-        states.update(frozenset(best[: j + 1]) for j in range(n))
+    def settle(best, uncovered):
         # placements the ordering contains win along its prefixes; test the rest
-        uncovered = [
-            i for i in uncovered
-            if not masks[pick] >> i & 1 and not can_win_through(placements[i][1], states)
-        ]
+        states.update(frozenset(best[: j + 1]) for j in range(n))
+        for i, (_, g) in enumerate(placements):
+            if uncovered >> i & 1 and can_win_through(g, states):
+                uncovered &= ~(1 << i)
+        return uncovered
+
+    cands = (list(permutations(range(1, n + 1))) if n <= 8
+             else lambda: [tuple(rng.sample(range(1, n + 1), n)) for _ in range(CHAIN_SAMPLE_CAP)])
+    orderings = _greedy_cover((1 << len(placements)) - 1, masks_of, cands, settle)
 
     bound = math.factorial(k) * k * n * math.log2(n)
     if len(states) > bound:
@@ -402,33 +418,21 @@ def build_partition_family(n: int, k: int, z: int, seed: int = 0):
     rng = random.Random(seed)
     states = [frozenset(c) for c in combinations(range(1, k + 1), z)]
     pairs = [(tau, st) for tau in permutations(range(1, n + 1), k) for st in states]
-    uncovered = (1 << len(pairs)) - 1
 
-    def masks_of(cands):
+    def masks_of(cands, uncovered):
         live = [j for j in range(len(pairs)) if uncovered >> j & 1]
         return [sum(1 << j for j in live if partition_matches(part, *pairs[j])) for part in cands]
 
+    def draw():
+        base, b, drawn = list(range(1, n + 1)), n // k, []
+        for _ in range(PARTITION_SAMPLE_CAP):
+            rng.shuffle(base)
+            drawn.append(tuple(frozenset(base[i * b : (i + 1) * b]) for i in range(k)))
+        return drawn
+
     exhaustive = equal_partition_count(n, k) <= 50_000
-    if exhaustive:
-        cands = list(_iter_equal_partitions(n, k))
-        masks = masks_of(cands)
-        bounds = [len(pairs)] * len(cands)
-    family = []
-    while uncovered:
-        if not exhaustive:
-            base = list(range(1, n + 1))
-            cands = []
-            b = n // k
-            for _ in range(PARTITION_SAMPLE_CAP):
-                rng.shuffle(base)
-                cands.append(tuple(frozenset(base[i * b : (i + 1) * b]) for i in range(k)))
-            masks = masks_of(cands)
-            bounds = [len(pairs)] * len(cands)
-        pick = _greedy_pick(masks, uncovered, bounds)
-        if pick is None:
-            raise RuntimeError("no partition matches any remaining (placement, state) pair")
-        family.append(cands[pick])
-        uncovered &= ~masks[pick]
+    cands = list(_iter_equal_partitions(n, k)) if exhaustive else draw
+    family = _greedy_cover((1 << len(pairs)) - 1, masks_of, cands)
 
     bound = 2 * (4 * k) ** z * k * math.log2(max(n, 2))
     if len(family) > bound:
@@ -536,40 +540,20 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
     ]
     root_chars = [_char(1, {u}) for u in range(1, n + 1)]
 
-    h = set()
-
-    def add_products(per_position):
-        """per_position: list of (position, options); others absent."""
-        opts = [options for _, options in per_position]
-        for combo in product(*opts):
-            node = canonical_chars(combo)
-            if node is not ONE:
-                h.add(node)
-
-    h.add(())  # s' carries the constant -1, the empty K-function
+    # s' carries the constant -1, the empty K-function.  Per state, one
+    # position may hold any gadget char (active) and another a root (pinned).
+    h = {()}
     for st in states:
         pos = sorted(st)
-        add_products([(i, block_chars_at[i - 1]) for i in pos])
-        for active in pos:
-            add_products(
-                [(i, chars_at[i - 1] if i == active else block_chars_at[i - 1]) for i in pos]
-            )
-        if len(pos) >= 2:
-            for pinned in pos:
-                for active in pos:
-                    if pinned == active:
-                        continue
-                    add_products(
-                        [
-                            (
-                                i,
-                                root_chars
-                                if i == pinned
-                                else (chars_at[i - 1] if i == active else block_chars_at[i - 1]),
-                            )
-                            for i in pos
-                        ]
-                    )
+        roles = [(None, None)] + [(None, a) for a in pos]
+        roles += [(p, a) for p in pos for a in pos if p != a]
+        for pinned, active in roles:
+            options = [root_chars if i == pinned else chars_at[i - 1] if i == active
+                       else block_chars_at[i - 1] for i in pos]
+            for combo in product(*options):
+                node = canonical_chars(combo)
+                if node is not ONE:
+                    h.add(node)
 
     s_id, t_id = "s'", "t'"
     node_of = {(): s_id, ONE: t_id}
@@ -584,17 +568,8 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
             if target in node_of:
                 edges.add((node_of[chars], node_of[target], label))
 
-    net_edges = []
-    seen = set()
-    for a, b, label in sorted(edges, key=str):
-        key = (a, b, label) if str(a) <= str(b) else (b, a, label)
-        if key in seen or a == b:
-            continue
-        seen.add(key)
-        net_edges.append(NetEdge(a, b, label))
-
     vertices = [s_id, t_id] + [i for i in range(len(h) - 1)]
-    network = SwitchingNetwork(n, vertices, s_id, t_id, net_edges)
+    network = SwitchingNetwork(n, vertices, s_id, t_id, undirected_edges(sorted(edges, key=str)))
 
     x = len(partitions)
     r = max(len(states), 1)
@@ -699,10 +674,7 @@ def accepting_walk(result: GeneralNetworkResult, sigma) -> list:
         if is_winning(nxt):
             winner = next(p for p in st if core.has_edge(p, "t"))
             descend(winner, result.partitions[cur_x][winner - 1])
-            root = tau[winner - 1]
-            nf = dict(factors)
-            nf[winner] = _char(1, ())
-            move(nf, (root, "t"))
+            set_factor(winner, _char(1, ()), (tau[winner - 1], "t"))
             break
         if len(nxt) > len(st):
             added = next(iter(nxt - st))
@@ -713,9 +685,7 @@ def accepting_walk(result: GeneralNetworkResult, sigma) -> list:
                 cur_x = new_x
             root = tau[added - 1]
             if core.has_edge("s", added):
-                nf = dict(factors)
-                nf[added] = _char(1, {root})
-                move(nf, ("s", root))
+                set_factor(added, _char(1, {root}), ("s", root))
                 ascend(added, result.partitions[cur_x][added - 1])
             else:
                 justifiers = [p for p in st if core.has_edge(p, added)]
@@ -723,9 +693,7 @@ def accepting_walk(result: GeneralNetworkResult, sigma) -> list:
                     raise AssertionError("pebble addition without a justifying core edge")
                 p = justifiers[0]
                 descend(p, result.partitions[cur_x][p - 1])
-                nf = dict(factors)
-                nf[added] = _char(1, {root})
-                move(nf, (tau[p - 1], root))
+                set_factor(added, _char(1, {root}), (tau[p - 1], root))
                 ascend(added, result.partitions[cur_x][added - 1])
                 ascend(p, result.partitions[cur_x][p - 1])
         else:

@@ -11,7 +11,7 @@ so the move relation is symmetric.
 from math import ceil, log2
 
 from .graphs import InputGraph, bfs, trace
-from .networks import NetEdge, SwitchingNetwork
+from .networks import SwitchingNetwork, undirected_edges
 
 STATE_CAP = 20  # search state spaces are 2**n; refuse beyond this
 
@@ -146,29 +146,18 @@ def network_from_states(states, n: int) -> SwitchingNetwork:
 
     # generic input graph over which toggles are labeled: any vertex pair may
     # justify a move; the *labels* are what acceptance later filters on
-    edges = []
-    seen = set()
-    all_states = [start] + interior
-    state_set = set(all_states)
-    for st in all_states:
-        pebbled = _pebbled_with_s(st)
-        # sorted: the set order of "s" among ints varies with PYTHONHASHSEED
-        # winning toggles: add a pebble on t
-        for v in sorted(pebbled, key=str):
-            if v != "t":
-                key = (name[st], t_node, (v, "t"))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append(NetEdge(name[st], t_node, (v, "t")))
-        for w in range(1, n + 1):
-            nxt = frozenset(set(st) ^ {w})
-            if nxt not in state_set:
-                continue
-            for v in sorted(pebbled - {w}, key=str):
-                key = (name[st], name[nxt], (v, w))
-                rkey = (name[nxt], name[st], (v, w))
-                if key in seen or rkey in seen:
-                    continue
-                seen.add(key)
-                edges.append(NetEdge(name[st], name[nxt], (v, w)))
-    return SwitchingNetwork(n, vertices, s_node, t_node, edges)
+    def toggles():
+        for st, a in name.items():
+            # sorted: the set order of "s" among ints varies with PYTHONHASHSEED
+            pebbled = sorted(_pebbled_with_s(st), key=str)
+            # winning toggles: add a pebble on t
+            for v in pebbled:
+                yield a, t_node, (v, "t")
+            for w in range(1, n + 1):
+                nxt = frozenset(set(st) ^ {w})
+                if nxt in name:
+                    for v in pebbled:
+                        if v != w:
+                            yield a, name[nxt], (v, w)
+
+    return SwitchingNetwork(n, vertices, s_node, t_node, undirected_edges(toggles()))

@@ -257,8 +257,12 @@ class TestMalformedInput:
         ("verify-network", "--net", json.dumps({k: v for k, v in NET.items() if k != "s"})),
         ("verify-network", "--net", json.dumps(NET)[:-5]),
         ("verify-network", "--net", json.dumps({**NET, "edges": [{"u": "a", "v": "b", "label": ["s", 9]}]})),
+        ("pebble", "--graph", json.dumps({"n": "x", "edges": []})),
+        ("pebble", "--graph", json.dumps({"n": -1, "edges": []})),
+        ("verify-network", "--net", json.dumps({**NET, "n": -1, "edges": []})),
     ], ids=["graph-missing-key", "graph-truncated", "graph-vertex-out-of-range",
-            "net-missing-key", "net-truncated", "net-label-out-of-range"])
+            "net-missing-key", "net-truncated", "net-label-out-of-range",
+            "graph-n-not-int", "graph-n-negative", "net-n-negative"])
     def test_exits_two(self, tmp_path, capsys, command, flag, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -296,8 +300,8 @@ class TestParameterDomain:
     """A parameter outside its command's domain is a usage error: exit 2 and
     one JSON error line on stderr, nothing on stdout.  --e0, --g0 and
     --savitch are checked before any build: a token that is not an integer,
-    a vertex outside 1..n, an e0 that is not a graph edge, or a repeated
-    core vertex."""
+    a vertex outside 1..n, an e0 that is not a graph edge, a repeated core
+    vertex, or a --savitch path that is not an s...t path of the graph."""
 
     @pytest.mark.parametrize("argv", [
         ["spectra", "--n", 4, "--k", 3],
@@ -315,9 +319,15 @@ class TestParameterDomain:
         ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "1,1"],
         ["pebble", "--graph", "g.json", "--savitch", "s,garbage,t"],
         ["pebble", "--graph", "g.json", "--savitch", "s,9,t"],
+        ["pebble", "--graph", "g.json", "--savitch", "s,3,t"],
+        ["pebble", "--graph", "g.json", "--savitch", "1,2,t"],
+        ["verify-permutation-average", "--n", 12],
+        ["verify-permutation-average", "--n", 0],
+        ["verify-permutation-average", "--trials", 0],
     ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z",
             "e0-token", "e0-range", "e0-not-edge", "e0-three-vertices", "g0-token", "g0-range", "g0-zero",
-            "g0-repeated", "savitch-token", "savitch-range"])
+            "g0-repeated", "savitch-token", "savitch-range", "savitch-not-edge", "savitch-not-st",
+            "permutation-average-n-large", "permutation-average-n-zero", "permutation-average-trials"])
     def test_exits_two(self, tmp_path, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("the build ran before its parameters were checked")

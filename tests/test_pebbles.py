@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import switchnet
 from switchnet.graphs import InputGraph
+from switchnet.networks import NetEdge, SwitchingNetwork
 from switchnet.pebbles import (
     STATE_CAP,
     can_win_through,
@@ -135,6 +136,51 @@ class TestNetworkFromStates:
             for seed in ("1", "2")
         ]
         assert outs[0] and outs[0] == outs[1]
+
+
+def _loop_network_from_states(states, n):
+    """Oracle: network_from_states as written before networks.undirected_edges."""
+    start = frozenset()
+    interior = sorted(
+        {frozenset(st) for st in states if not is_winning(st)} - {start},
+        key=lambda st: sorted(map(str, st)),
+    )
+    name = {start: "START"}
+    for i, st in enumerate(interior):
+        name[st] = i
+    vertices = ["START", "WIN"] + list(range(len(interior)))
+    edges, seen = [], set()
+    all_states = [start] + interior
+    state_set = set(all_states)
+    for st in all_states:
+        pebbled = set(st) | {"s"}
+        for v in sorted(pebbled, key=str):
+            if v != "t":
+                key = (name[st], "WIN", (v, "t"))
+                if key not in seen:
+                    seen.add(key)
+                    edges.append(NetEdge(name[st], "WIN", (v, "t")))
+        for w in range(1, n + 1):
+            nxt = frozenset(set(st) ^ {w})
+            if nxt not in state_set:
+                continue
+            for v in sorted(pebbled - {w}, key=str):
+                key = (name[st], name[nxt], (v, w))
+                rkey = (name[nxt], name[st], (v, w))
+                if key in seen or rkey in seen:
+                    continue
+                seen.add(key)
+                edges.append(NetEdge(name[st], name[nxt], (v, w)))
+    return SwitchingNetwork(n, vertices, "START", "WIN", edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.data())
+def test_network_from_states_matches_emit_loop(n, data):
+    # winning states (holding t) and repeats are drawn too; both are dropped
+    state = st.frozensets(st.sampled_from([*range(1, n + 1), "t"]))
+    states = data.draw(st.lists(state, max_size=10))
+    assert network_from_states(states, n).to_json() == _loop_network_from_states(states, n).to_json()
 
 
 def _loop_search_win(graph, budget):
