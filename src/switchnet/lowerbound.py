@@ -48,35 +48,23 @@ def relevance_threshold(z: int, k: int, u: int) -> int:
 
 
 def relevant(graph: InputGraph, z: int, k: int, u: int, A, edge) -> bool:
-    """True iff the non-degenerate edge has both endpoints in A + {s,t} and
-    the graph has a directed path of length <= 2**(z-k-u-1) between them."""
-    tail, head = edge
-    if not _nondegenerate(edge, graph.n):
-        return False
-    A = frozenset(A)
-    if tail != "s" and tail not in A:
-        return False
-    if head != "t" and head not in A:
-        return False
-    limit = relevance_threshold(z, k, u)
-    if limit == 0:
-        return False
-    d = graph.distance(tail, head)
-    return d is not None and 0 < d <= limit
+    """True iff the non-degenerate edge is one of the coordinate's relevant edges."""
+    return _nondegenerate(edge, graph.n) and tuple(edge) in relevant_edges(graph, z, k, u, A)
 
 
 def relevant_edges(graph: InputGraph, z: int, k: int, u: int, A):
-    """All relevant vertex pairs for the coordinate, in a deterministic order."""
+    """The pairs (tail, head) with tail in s + A and head in A + t, tail != head,
+    not (s, t), joined by a directed path of length in 1..2**(z-k-u-1); tails
+    in order s, then sorted A, heads in sorted A, then t."""
+    limit = relevance_threshold(z, k, u)
     A = sorted(A)
-    tails = ["s"] + A
-    heads = A + ["t"]
     out = []
-    for tail in tails:
-        for head in heads:
-            if tail == head or (tail == "s" and head == "t"):
-                continue
-            if relevant(graph, z, k, u, A, (tail, head)):
-                out.append((tail, head))
+    for tail in ["s"] + A:
+        for head in A + ["t"]:
+            if tail != head and (tail, head) != ("s", "t"):
+                d = graph.distance(tail, head)
+                if d is not None and 0 < d <= limit:
+                    out.append((tail, head))
     return out
 
 
@@ -92,12 +80,11 @@ class SumVectorTable:
     whose coefficients vanish at and above level max_level + 1.
     """
 
-    def __init__(self, n: int, max_level: int, vectors=None, tags=None, graph=None, z=None):
+    def __init__(self, n: int, max_level: int, vectors=None, tags=None, z=None):
         self.n = n
         self.max_level = max_level
         self.vectors = vectors if vectors is not None else {}
         self.tags = tags if tags is not None else {}
-        self.graph = graph
         self.z = z
 
     def lookup(self, k: int, u: int, A):
@@ -107,10 +94,6 @@ class SumVectorTable:
         if vec is None:
             return Fraction(0)
         return vec[colex_rank(A)]
-
-    def tag(self, k: int, u: int, A):
-        tags = self.tags.get((k, u))
-        return tags[colex_rank(A)] if tags else None
 
     def equation_value(self, edge, k: int, u: int, A):
         """Right side of the reduction equation the edge imposes at (k, u, A)."""
@@ -209,7 +192,7 @@ def table_from_function(g: CutFunction, max_level: int, graph=None, z=None) -> S
         for k in range(0, total + 1):
             u = total - k
             vectors[(k, u)] = [s_single(g, A, u) for A in k_subsets(g.n, k)]
-    table = SumVectorTable(g.n, max_level, vectors, graph=graph, z=z)
+    table = SumVectorTable(g.n, max_level, vectors, z=z)
     if graph is not None and z is not None:
         table.tags = {
             (k, u): [classify(graph, z, k, u, A) for A in k_subsets(g.n, k)]
@@ -218,15 +201,15 @@ def table_from_function(g: CutFunction, max_level: int, graph=None, z=None) -> S
     return table
 
 
-def fixed_value(table: SumVectorTable, graph: InputGraph, z: int, k: int, u: int, A):
-    """Value forced on a fixed coordinate; evaluates every applicable equation
-    and insists they agree (the order-independence property).
+def fixed_value(table: SumVectorTable, graph: InputGraph, z: int, k: int, u: int, A, edges):
+    """Value forced on a fixed coordinate, given its relevant edges; evaluates
+    every applicable equation and insists they agree (the order-independence
+    property).
 
     Also asserts the composability closure: when a->b and b->c are both
     relevant here, a->c must be relevant at the reduced coordinate.
     """
     A = frozenset(A)
-    edges = relevant_edges(graph, z, k, u, A)
     if not edges:
         raise ValueError(f"coordinate ({k},{u},{sorted(A)}) is free")
     for a, b in edges:
@@ -329,18 +312,19 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
         m_hypothesis_ok=hypotheses["m_small_enough"],
     )
 
-    table = SumVectorTable(n, z - 1, graph=graph, z=z)
+    table = SumVectorTable(n, z - 1, z=z)
+    edges_at = {}
     for level in range(0, z):
         for k in range(0, level + 1):
             u = level - k
             subsets = k_subsets(n, k)
-            tags = [classify(graph, z, k, u, A) for A in subsets]
-            table.tags[(k, u)] = tags
+            edges = edges_at[(k, u)] = [relevant_edges(graph, z, k, u, A) for A in subsets]
+            tags = table.tags[(k, u)] = ["fixed" if e else "free" for e in edges]
             vec = [None] * len(subsets)
 
             for i, A in enumerate(subsets):
-                if tags[i] == "fixed":
-                    vec[i], count = fixed_value(table, graph, z, k, u, frozenset(A))
+                if edges[i]:
+                    vec[i], count = fixed_value(table, graph, z, k, u, A, edges[i])
                     if count >= 2:
                         diag.multi_equation_checks += count - 1
 
@@ -402,8 +386,6 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
             km = k * m_link
 
             def norm_at(kk, uu):
-                if (kk, uu) not in table.vectors:
-                    return Fraction(0)
                 return table.norms(kk, uu)[0]
 
             rec_bound = (
@@ -436,25 +418,20 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
                 coeffs[frozenset(A)] = vec[i]
     g = CutFunction(n, coeffs=coeffs)
 
-    _verify_completed_table(table, graph, z)
+    _verify_completed_table(table, edges_at)
     return g, table, diag
 
 
-def _verify_completed_table(table: SumVectorTable, graph: InputGraph, z: int):
-    """Exact sweep: every error vector zero, every relevant defect zero."""
-    n = table.n
-    for level in range(0, z):
-        for k in range(0, level + 1):
-            u = level - k
-            if u >= 1:
-                if any(x != 0 for x in table.error_vector(k, u)):
-                    raise ConstructionError(f"nonzero error vector at ({k},{u})", k, u)
-            for A in k_subsets(n, k):
-                for e in relevant_edges(graph, z, k, u, A):
-                    if table.delta_coordinate(e, k, u, A) != 0:
-                        raise ConstructionError(
-                            f"nonzero defect for {e} at ({k},{u},{A})", k, u
-                        )
+def _verify_completed_table(table: SumVectorTable, edges_at: dict):
+    """Exact sweep, in build order over the stored relevant-edge lists: every
+    error vector zero, every relevant defect zero."""
+    for (k, u), edges in edges_at.items():
+        if u >= 1 and any(x != 0 for x in table.error_vector(k, u)):
+            raise ConstructionError(f"nonzero error vector at ({k},{u})", k, u)
+        for A, coord_edges in zip(k_subsets(table.n, k), edges):
+            for e in coord_edges:
+                if table.delta_coordinate(e, k, u, A) != 0:
+                    raise ConstructionError(f"nonzero defect for {e} at ({k},{u},{A})", k, u)
 
 
 def _check_extension_precondition(g: CutFunction, edge, z: int):
@@ -783,18 +760,10 @@ def representative(graph: InputGraph, z: int, V, rng=None):
     if len(current) >= z:
         raise ValueError("representatives are defined for |V| < z")
     while True:
-        limit = 2 ** (z - 1 - len(current))
-        moves = []
-        for v in sorted(current):
-            d = graph.distance(v, "t")
-            if d is not None and d <= limit:
-                moves.append(("top", v))
-        for w in sorted(current):
-            for v in sorted(current - {w}) + ["s"]:
-                d = graph.distance(v, w)
-                if d is not None and 0 < d <= limit:
-                    moves.append(("drop", w))
-                    break
+        edges = relevant_edges(graph, z, len(current), 0, current)
+        heads = {head for _, head in edges}
+        moves = [("top", v) for v in sorted(current) if (v, "t") in edges]
+        moves += [("drop", w) for w in sorted(current) if w in heads]
         if not moves:
             return frozenset(current)
         move = rng.choice(moves) if rng is not None else moves[0]

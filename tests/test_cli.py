@@ -204,6 +204,14 @@ class TestSpectra:
         assert report["eigenvalues"] == [[6, 1], [2, 3]]
         assert report["verified"]
 
+    def test_tolerance_not_read_from_environment(self, monkeypatch, capsys):
+        # a huge tolerance would merge distinct eigenvalues into one bucket
+        monkeypatch.setenv("SWITCHNET_TOL", "100")
+        code = run(["spectra", "--n", 6, "--k", 2])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["verified"] is True
+
 
 class TestPermutationAverage:
     def test_csv_and_exit_code(self, tmp_path, capsys):

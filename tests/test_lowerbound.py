@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchnet.cuts import CutFunction, common_denominator, is_edge_invariant
+from switchnet.cuts import CutFunction, _nondegenerate, common_denominator, is_edge_invariant
 from switchnet.graphs import InputGraph, chain_with_lollipops
 from switchnet.lowerbound import (
     REPRESENTATIVE_TOP,
@@ -28,7 +28,9 @@ from switchnet.lowerbound import (
     fixed_value,
     low_connectivity_hypotheses,
     lower_bound_certificate,
+    relevance_threshold,
     relevant,
+    relevant_edges,
     representative,
     table_from_function,
 )
@@ -36,7 +38,7 @@ from switchnet.parity import build_chain_lollipop
 from switchnet.subsets import k_subsets
 from switchnet.sums import s_single, sum_of_squares
 
-from conftest import pointwise_product, random_sparse_function, rationals
+from conftest import pointwise_product, random_graph, random_sparse_function, rationals
 
 SHORT_CHAIN = InputGraph(2, {("s", 1), (1, 2), (2, "t")})
 LONG_CHAIN = InputGraph(6, {("s", 1), (1, 2), (2, 3), (3, 4), (4, "t")})
@@ -75,7 +77,85 @@ def random_table(n, max_level, rng):
     return SumVectorTable(n, max_level, vectors)
 
 
+def pairwise_relevant(graph, z, k, u, A, edge):
+    """Reference relevance test of one pair, checked field by field."""
+    tail, head = edge
+    if not _nondegenerate(edge, graph.n):
+        return False
+    A = frozenset(A)
+    if tail != "s" and tail not in A:
+        return False
+    if head != "t" and head not in A:
+        return False
+    limit = relevance_threshold(z, k, u)
+    if limit == 0:
+        return False
+    d = graph.distance(tail, head)
+    return d is not None and 0 < d <= limit
+
+
+def pairwise_relevant_edges(graph, z, k, u, A):
+    A = sorted(A)
+    return [
+        (tail, head)
+        for tail in ["s"] + A
+        for head in A + ["t"]
+        if tail != head
+        and (tail, head) != ("s", "t")
+        and pairwise_relevant(graph, z, k, u, A, (tail, head))
+    ]
+
+
+def looped_representative(graph, z, V, rng=None):
+    """Reference normal form with its own radius and move loops."""
+    current = set(V)
+    if len(current) >= z:
+        raise ValueError("representatives are defined for |V| < z")
+    while True:
+        limit = 2 ** (z - 1 - len(current))
+        moves = []
+        for v in sorted(current):
+            d = graph.distance(v, "t")
+            if d is not None and d <= limit:
+                moves.append(("top", v))
+        for w in sorted(current):
+            for v in sorted(current - {w}) + ["s"]:
+                d = graph.distance(v, w)
+                if d is not None and 0 < d <= limit:
+                    moves.append(("drop", w))
+                    break
+        if not moves:
+            return frozenset(current)
+        move = rng.choice(moves) if rng is not None else moves[0]
+        if move[0] == "top":
+            return REPRESENTATIVE_TOP
+        current.discard(move[1])
+
+
+@st.composite
+def small_dags(draw):
+    n = draw(st.integers(1, 7))
+    p = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    return random_graph(n, random.Random(draw(st.integers(0, 10**6))), acyclic=True, p=p)
+
+
 class TestRelevance:
+    @settings(max_examples=80, deadline=None)
+    @given(small_dags(), st.integers(1, 4), st.data())
+    def test_matches_pairwise_filter(self, graph, z, data):
+        n = graph.n
+        tokens = ["s", "t", 0, n + 1] + list(range(1, n + 1))
+        for level in range(z):
+            for k in range(min(level, n) + 1):
+                u = level - k
+                A = data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))
+                edges = relevant_edges(graph, z, k, u, A)
+                assert edges == pairwise_relevant_edges(graph, z, k, u, A)
+                for edge in [(a, b) for a in tokens for b in tokens]:
+                    want = pairwise_relevant(graph, z, k, u, A, edge)
+                    assert relevant(graph, z, k, u, A, edge) == want, (edge, k, u, A)
+                    assert relevant(graph, z, k, u, set(A), list(edge)) == want
+
     def test_chain_examples(self):
         assert relevant(SHORT_CHAIN, 2, 1, 0, {1}, ("s", 1))
         assert not relevant(SHORT_CHAIN, 2, 2, 0, {1, 2}, (1, 2))
@@ -97,26 +177,32 @@ class TestRelevance:
 
 class TestFixedValue:
     def _seed_table(self, graph, z):
-        t = SumVectorTable(graph.n, z - 1, graph=graph, z=z)
+        t = SumVectorTable(graph.n, z - 1, z=z)
         t.vectors[(0, 0)] = [Fraction(1)]
         t.vectors[(0, 1)] = [Fraction(0)]
         return t
 
+    @staticmethod
+    def _fixed_value(t, graph, z, k, u, A):
+        return fixed_value(t, graph, z, k, u, A, relevant_edges(graph, z, k, u, A))
+
     def test_source_equation(self):
         t = self._seed_table(SHORT_CHAIN, 2)
-        value, count = fixed_value(t, SHORT_CHAIN, 2, 1, 0, frozenset({1}))
+        value, count = self._fixed_value(t, SHORT_CHAIN, 2, 1, 0, frozenset({1}))
         assert value == -1 and count == 1
 
     def test_sink_equation_sign(self):
         t = self._seed_table(SHORT_CHAIN, 2)
-        value, _ = fixed_value(t, SHORT_CHAIN, 2, 1, 0, frozenset({2}))
+        value, _ = self._fixed_value(t, SHORT_CHAIN, 2, 1, 0, frozenset({2}))
         assert value == 1
 
     def test_free_coordinate_rejected(self):
         t = self._seed_table(SHORT_CHAIN, 2)
+        assert classify(SHORT_CHAIN, 2, 1, 1, {1}) == "free"
         with pytest.raises(ValueError):
-            fixed_value(t, SHORT_CHAIN, 2, 1, 0, frozenset({1, 2}) - {2})
-            fixed_value(t, InputGraph(2, set()), 2, 1, 0, frozenset({1}))
+            self._fixed_value(t, SHORT_CHAIN, 2, 1, 1, frozenset({1}))
+        with pytest.raises(ValueError):
+            self._fixed_value(t, InputGraph(2, set()), 2, 1, 0, frozenset({1}))
 
     def test_multiple_equations_agree_during_builds(self):
         _, _, diag = build_base_function(LONG_CHAIN, 3)
@@ -440,6 +526,18 @@ class TestCutoffSums:
 
 class TestRepresentative:
     FAN = InputGraph(4, {("s", 1), ("s", 2), (3, "t"), (1, 4)})
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_dags(), st.integers(1, 5), st.data())
+    def test_matches_looped_moves(self, graph, z, data):
+        size = data.draw(st.integers(0, min(z - 1, graph.n)))
+        V = data.draw(st.frozensets(st.integers(1, graph.n), min_size=size, max_size=size))
+        assert representative(graph, z, V) == looped_representative(graph, z, V)
+        for seed in data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=4)):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = representative(graph, z, V, rng=got_rng)
+            assert got == looped_representative(graph, z, V, rng=want_rng)
+            assert got_rng.getstate() == want_rng.getstate()
 
     def test_drop_both_source_vertices(self, rng):
         for _ in range(10):
