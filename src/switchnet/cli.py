@@ -13,9 +13,10 @@ verification sweep runs as one single-process pass.
 
 import argparse
 import json
+import os
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from functools import partial
 
@@ -49,20 +50,33 @@ class UsageError(Exception):
 
 @contextmanager
 def _out(path):
-    """The --out file opened for writing; a failure to open or write it is
-    a UsageError."""
+    """The --out file, opened but not emptied when the block starts, so that
+    a path that cannot be written fails fast; the block calls the yielded
+    function to empty the file and get it for writing.  A block that raises
+    leaves an earlier file untouched and removes a file the open created.  A
+    failure to open or write the file is a UsageError."""
+    created, done = not os.path.lexists(path), False
     try:
-        with open(path, "w") as fh:
-            yield fh
+        with open(path, "a") as fh:
+            def emptied():
+                fh.truncate(0)
+                return fh
+
+            yield emptied
+            done = True
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc!r}") from exc
+    finally:
+        if created and not done:
+            with suppress(FileNotFoundError):
+                os.remove(path)
 
 
 def _emit(report, path=None):
     text = json.dumps(report, indent=2, default=str)
     if path:
-        with _out(path) as fh:
-            fh.write(text + "\n")
+        with _out(path) as emptied:
+            emptied().write(text + "\n")
     print(text)
 
 
@@ -136,7 +150,18 @@ def _detect_chain(graph):
     for k in range(1, graph.n + 1):
         if graph == chain_with_lollipops(graph.n, k):
             return k
-    raise ValueError("graph is not in canonical chain-with-lollipops form")
+    raise UsageError("graph is not in canonical chain-with-lollipops form")
+
+
+def _infer_core(graph):
+    """The vertices touching a middle-to-middle edge; a bare s->v->t path
+    contributes its interior vertex."""
+    core = sorted({x for e in graph.edges if all(isinstance(y, int) for y in e) for x in e})
+    if not core:
+        path = graph.shortest_st_path()
+        _require(path is not None and len(path) >= 3, "cannot infer core vertices; pass --g0")
+        core = [path[1]]
+    return core
 
 
 def cmd_build_upper(args):
@@ -144,34 +169,23 @@ def cmd_build_upper(args):
     graph = _load_graph(args.graph)
     g0 = _vertices(args.g0, graph.n, "--g0") if args.g0 else None
     _require(g0 is None or len(set(g0)) == len(g0), f"--g0: repeated core vertex in {args.g0}")
+    core = _detect_chain(graph) if args.mode == "chain" else g0 or _infer_core(graph)
     if not args.out:
-        return _build_upper(args, graph, g0, None)
-    # opened before the build, so that an unwritable path fails fast
-    with _out(args.out) as fh:
-        return _build_upper(args, graph, g0, fh)
+        return _build_upper(args, graph, core, None)
+    with _out(args.out) as emptied:
+        return _build_upper(args, graph, core, emptied)
 
 
-def _build_upper(args, graph, g0, out):
+def _build_upper(args, graph, core, emptied):
+    """Build, verify and report; `core` is the chain length in chain mode and
+    the core vertices in general mode."""
     if args.mode == "chain":
-        k = _detect_chain(graph)
-        result = parity.build_chain_lollipop(graph.n, k, seed=args.seed)
+        result = parity.build_chain_lollipop(graph.n, core, seed=args.seed)
         net = result.network
         bound = result.size_bound
         family = result.placements
     else:
-        if g0 is None:
-            # vertices touching a middle-to-middle edge form the core; a bare
-            # s->v->t path contributes its interior vertex
-            g0 = sorted(
-                {u for u, v in graph.edges if isinstance(u, int) and isinstance(v, int)}
-                | {v for u, v in graph.edges if isinstance(u, int) and isinstance(v, int)}
-            )
-            if not g0:
-                path = graph.shortest_st_path()
-                if path is None or len(path) < 3:
-                    raise ValueError("cannot infer core vertices; pass --g0")
-                g0 = [path[1]]
-        result = parity.build_general_network(graph, g0, args.z, seed=args.seed)
+        result = parity.build_general_network(graph, core, args.z, seed=args.seed)
         net = result.network
         bound = result.h_bound
         family = (all_distinct_permuted_copies(result.graph)
@@ -182,8 +196,8 @@ def _build_upper(args, graph, g0, out):
         if family is not None:
             payload["complete"] = net.is_complete_for(family)
             payload["family_size"] = len(family)
-    if out is not None:
-        json.dump(net.to_json(), out, indent=2)
+    if emptied is not None:
+        json.dump(net.to_json(), emptied(), indent=2)
         payload["network_file"] = args.out
     report = _report(payload, seed=args.seed)
     _emit(report)
@@ -200,8 +214,8 @@ def cmd_build_base(args):
         _emit(_report({"error": str(exc)}, seed=args.seed))
         return EXIT_VIOLATION
     if args.out:
-        with _out(args.out) as fh:
-            json.dump(table.to_json(), fh, indent=2)
+        with _out(args.out) as emptied:
+            json.dump(table.to_json(), emptied(), indent=2)
     report = _report(
         {
             "base_function": g.to_json(),
@@ -319,8 +333,8 @@ def cmd_verify_permutation_average(args):
         rows.append(f"{trial},{lhs},{rhs},{diff}")
     csv_text = "\n".join(rows)
     if args.out:
-        with _out(args.out) as fh:
-            fh.write(csv_text + "\n")
+        with _out(args.out) as emptied:
+            emptied().write(csv_text + "\n")
     print(csv_text)
     return EXIT_OK if all_equal else EXIT_VIOLATION
 

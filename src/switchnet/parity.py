@@ -83,20 +83,53 @@ def _char(sign, vertices):
     return (sign, tuple(sorted(vertices)))
 
 
+# Inside the builder a signed character (sign, V) is the int code
+# 2 * sum(2**v for v in V) + (sign < 0), so bit v + 1 holds vertex v, and a
+# canonical factor set is a frozenset of codes.  Code 0 is the constant +1,
+# code 1 the constant -1, and c ^ 1 is c's complement.
+
+
+def _code(char):
+    sign, V = char
+    return sum(2 << v for v in V) | (sign < 0)
+
+
+def _decode(code):
+    mask = code >> 1
+    return (-1 if code & 1 else 1, tuple(v for v in range(mask.bit_length()) if mask >> v & 1))
+
+
+def _canon(codes):
+    """Canonical factor set of the codes: a constant +1 or a complementary
+    pair gives ONE, a constant -1 is dropped."""
+    out = set()
+    for c in codes:
+        if c <= 1:
+            if c == 0:
+                return ONE
+            continue
+        if c ^ 1 in out:
+            return ONE
+        out.add(c)
+    return frozenset(out)
+
+
+def _adjoin(node, c):
+    """The canonical set `node` (or ONE) times the factor code c."""
+    if node is ONE or c == 0 or c ^ 1 in node:
+        return ONE
+    return node if c == 1 else node | {c}
+
+
+def _chars(node):
+    """A coded node in the tuple form that canonical_chars gives."""
+    return node if node is ONE else tuple(sorted(map(_decode, node)))
+
+
 def canonical_chars(factors):
     """Canonical factor set: drop constant -1 factors, collapse to ONE when a
     factor is the constant +1 or both signs of a character are present."""
-    out = set()
-    for sign, V in factors:
-        V = tuple(sorted(V))
-        if not V:
-            if sign > 0:
-                return ONE
-            continue
-        if (-sign, V) in out:
-            return ONE
-        out.add((sign, V))
-    return tuple(sorted(out))
+    return _chars(_canon(map(_code, factors)))
 
 
 class KFunction:
@@ -157,33 +190,40 @@ def can_go(f, g, edge, n=None) -> bool:
     return differ & ~crossing_mask(n, tuple(edge)) == 0
 
 
-def _lollipop_toggles(char, u):
-    """The two lollipop steps on one factor at vertex u, as (label, new
-    factor): s->u multiplies it by -e_{u}, u->t by e_{u}."""
-    sign, V = char
-    toggled = tuple(sorted(set(V) ^ {u}))
-    return (("s", u), (-sign, toggled)), ((u, "t"), (sign, toggled))
+def _lollipop_toggles(code, vertices):
+    """The two lollipop steps on one factor code at each vertex u in turn, as
+    (label, new code): s->u multiplies it by -e_{u}, u->t by e_{u}."""
+    steps = []
+    for u in vertices:
+        toggled = code ^ (2 << u)
+        steps += (("s", u), toggled ^ 1), ((u, "t"), toggled)
+    return steps
 
 
-def _imply(chars, w):
-    """Adjoin the factor e_{w}, as an edge v->w allows when e_{v} is a factor."""
-    return chars + ((1, (w,)),)
+def _coded_steps(codes, n: int, toggles):
+    """Every legal step from the factor codes `codes` (a tuple) over vertices
+    1..n, as (label, rest, new): the step's target is _adjoin(rest, new).  Per
+    factor, each (label, new) in toggles[factor] replaces the factor by new,
+    then, when the factor is e_{v}, each implication v->w adjoins e_{w}."""
+    for fi, c in enumerate(codes):
+        rest = _canon(codes[:fi] + codes[fi + 1 :])
+        for label, new in toggles[c]:
+            yield label, rest, new
+        if c > 1 and c & (c - 1) == 0:
+            v, node = c.bit_length() - 2, _canon(codes)
+            for w in range(1, n + 1):
+                if w != v:
+                    yield (v, w), node, 2 << w
 
 
 def legal_steps(chars, n: int):
     """Every legal step from the factors `chars` over vertices 1..n, as
     (label, canonical target) pairs: per factor, both lollipop toggles at
     each vertex in turn, then, when the factor is e_{v}, each implication v->w."""
-    for fi, char in enumerate(chars):
-        before, after = chars[:fi], chars[fi + 1 :]
-        for u in range(1, n + 1):
-            for label, new in _lollipop_toggles(char, u):
-                yield label, canonical_chars(before + (new,) + after)
-        sign, V = char
-        if sign == 1 and len(V) == 1:
-            for w in range(1, n + 1):
-                if w != V[0]:
-                    yield (V[0], w), canonical_chars(_imply(chars, w))
+    codes = tuple(map(_code, chars))
+    toggles = {c: _lollipop_toggles(c, range(1, n + 1)) for c in codes}
+    for label, rest, new in _coded_steps(codes, n, toggles):
+        yield label, _chars(_adjoin(rest, new))
 
 
 def step_lollipop(kfun: KFunction, index: int, edge) -> KFunction:
@@ -193,7 +233,7 @@ def step_lollipop(kfun: KFunction, index: int, edge) -> KFunction:
     if (tail == "s") == (head == "t") or v in ("s", "t"):
         raise ValueError(f"lollipop steps need an edge s->v or v->t, got {edge!r}")
     chars = list(kfun.chars)
-    chars[index] = dict(_lollipop_toggles(chars[index], v))[(tail, head)]
+    chars[index] = _decode(dict(_lollipop_toggles(_code(chars[index]), (v,)))[(tail, head)])
     return KFunction.from_chars(chars)
 
 
@@ -202,9 +242,9 @@ def step_implication(kfun: KFunction, edge) -> KFunction:
     v, w = edge
     if v in ("s", "t") or w in ("s", "t"):
         raise ValueError("implication steps need a middle-vertex edge")
-    if (1, (v,)) not in kfun.chars:
+    if 2 << v not in map(_code, kfun.chars):
         raise ValueError(f"factor e_{{{v}}} not present")
-    return KFunction.from_chars(_imply(kfun.chars, w))
+    return KFunction.from_chars(kfun.chars + (_decode(2 << w),))
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +319,11 @@ def reduction_char_path(block, root, graph: InputGraph, start_sign=None):
     therefore ends at +e_{root}."""
     if start_sign is None:
         start_sign = block_parity(graph, block, root)
-    cur = _char(start_sign, block)
-    path = [(cur, None)]
+    cur = _code((start_sign, block))
+    path = [(_decode(cur), None)]
     for u, label in reduction_steps(block, root, graph):
-        cur = dict(_lollipop_toggles(cur, u))[label]
-        path.append((cur, label))
+        cur = dict(_lollipop_toggles(cur, (u,)))[label]
+        path.append((_decode(cur), label))
     return path
 
 
@@ -404,6 +444,48 @@ def partition_matches(partition, placement, state) -> bool:
     return True
 
 
+def _match_masks(placements, states, k: int):
+    """Byte-packed partition matching over every (placement, state) pair.
+
+    Returns (lane, full, mask_of): bit lane * p + s of mask_of(partition) is
+    set exactly when partition_matches(partition, placements[p], states[s])
+    for k disjoint blocks, which need not cover every vertex, and `full` sets
+    every pair's bit.  A lane is one byte while there are at most 8 states,
+    more bytes above.  The match factors over positions: the vertex placed
+    at position j must lie in block j when j is pebbled and outside block i
+    for every other pebbled i.  So mask_of ANDs, over positions, one bytes
+    column of the placed vertices translated vertex -> block -> the states
+    that position admits.
+    """
+    width = max(1, -(-len(states) // 8))
+    lane = 8 * width
+    cols = [bytes(tau[j] for tau in placements) for j in range(k)]
+    pebbled = [[i - 1 for i in st] for st in states]
+
+    def admits(j, b):  # states position j admits when its vertex is in block b
+        return sum(1 << s for s, st in enumerate(pebbled) if all((b == i) == (i == j) for i in st))
+
+    # per position, per lane byte: block index (k for no block) -> state bits
+    tables = [[bytes(admits(j, b) >> 8 * q & 255 for b in range(k + 1)).ljust(256, b"\0")
+               for q in range(width)] for j in range(k)]
+    full = int.from_bytes(((1 << len(states)) - 1).to_bytes(width, "little") * len(placements), "little")
+    buf = bytearray(len(placements) * width)
+
+    def mask_of(partition):
+        block_of = bytearray([k]) * 256
+        for b, block in enumerate(partition):
+            for v in block:
+                block_of[v] = b
+        mask = full
+        for col, by_byte in zip(cols, tables):
+            for q, table in enumerate(by_byte):
+                buf[q::width] = col.translate(block_of.translate(table))
+            mask &= int.from_bytes(buf, "little")
+        return mask
+
+    return lane, full, mask_of
+
+
 def build_partition_family(n: int, k: int, z: int, seed: int = 0):
     """Greedy family of ordered equal partitions such that every pebble state
     with at most z pebbled positions is matched, under every injective
@@ -417,11 +499,10 @@ def build_partition_family(n: int, k: int, z: int, seed: int = 0):
         raise ValueError("need 1 <= z <= k")
     rng = random.Random(seed)
     states = [frozenset(c) for c in combinations(range(1, k + 1), z)]
-    pairs = [(tau, st) for tau in permutations(range(1, n + 1), k) for st in states]
+    _, full, mask_of = _match_masks(list(permutations(range(1, n + 1), k)), states, k)
 
     def masks_of(cands, uncovered):
-        live = [j for j in range(len(pairs)) if uncovered >> j & 1]
-        return [sum(1 << j for j in live if partition_matches(part, *pairs[j])) for part in cands]
+        return list(map(mask_of, cands))
 
     def draw():
         base, b, drawn = list(range(1, n + 1)), n // k, []
@@ -432,7 +513,7 @@ def build_partition_family(n: int, k: int, z: int, seed: int = 0):
 
     exhaustive = equal_partition_count(n, k) <= 50_000
     cands = list(_iter_equal_partitions(n, k)) if exhaustive else draw
-    family = _greedy_cover((1 << len(pairs)) - 1, masks_of, cands)
+    family = _greedy_cover(full, masks_of, cands)
 
     bound = 2 * (4 * k) ** z * k * math.log2(max(n, 2))
     if len(family) > bound:
@@ -522,51 +603,54 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
     partitions = build_partition_family(n, k, z, seed)
 
     blocks_at = [sorted({part[i] for part in partitions}, key=sorted) for i in range(k)]
-    chars_at = []
+    block_codes_at = [[_code((s, b)) for b in blocks_at[i] for s in (1, -1)] for i in range(k)]
+    codes_at = []
     for i in range(k):
-        chars = set()
+        codes = set(block_codes_at[i])
         for block in blocks_at[i]:
-            for c in reduction_functions(block):
-                chars.add(c)
-            for u in block:
-                chars.add(_char(1, {u}))
-                chars.add(_char(-1, {u}))
-            chars.add(_char(1, block))
-            chars.add(_char(-1, block))
-        chars_at.append(sorted(chars))
-
-    block_chars_at = [
-        [_char(s, b) for b in blocks_at[i] for s in (1, -1)] for i in range(k)
-    ]
-    root_chars = [_char(1, {u}) for u in range(1, n + 1)]
+            codes.update(map(_code, reduction_functions(block)))
+            codes.update(_code((s, {u})) for u in block for s in (1, -1))
+        codes_at.append(codes)
+    root_codes = [2 << u for u in range(1, n + 1)]
 
     # s' carries the constant -1, the empty K-function.  Per state, one
     # position may hold any gadget char (active) and another a root (pinned).
-    h = {()}
+    h = {frozenset()}
     for st in states:
         pos = sorted(st)
         roles = [(None, None)] + [(None, a) for a in pos]
         roles += [(p, a) for p in pos for a in pos if p != a]
         for pinned, active in roles:
-            options = [root_chars if i == pinned else chars_at[i - 1] if i == active
-                       else block_chars_at[i - 1] for i in pos]
+            options = [root_codes if i == pinned else codes_at[i - 1] if i == active
+                       else block_codes_at[i - 1] for i in pos]
             for combo in product(*options):
-                node = canonical_chars(combo)
+                node = _canon(combo)
                 if node is not ONE:
                     h.add(node)
 
+    # node ids follow the sorted tuple forms; id_of is the same map on codes
     s_id, t_id = "s'", "t'"
     node_of = {(): s_id, ONE: t_id}
     functions = {s_id: (), t_id: ONE}
-    for idx, chars in enumerate(sorted(h - {()})):
+    id_of = {frozenset(): s_id, ONE: t_id}
+    coded = {_chars(node): node for node in h if node}
+    for idx, chars in enumerate(sorted(coded)):
         node_of[chars] = idx
         functions[idx] = chars
+        id_of[coded[chars]] = idx
 
+    # A toggle replaces a factor of a node by `new`, so its target is t' or a
+    # node only when new, or its complement, occurs in some node or is constant.
+    occurring = {c ^ f for node in h for c in node for f in (0, 1)} | {0, 1}
+    toggles = {c: [step for step in _lollipop_toggles(c, range(1, n + 1)) if step[1] in occurring]
+               for c in occurring}
     edges = set()
-    for chars in h:
-        for label, target in legal_steps(chars, n):
-            if target in node_of:
-                edges.add((node_of[chars], node_of[target], label))
+    for node in h:
+        a = id_of[node]
+        for label, rest, new in _coded_steps(tuple(node), n, toggles):
+            b = id_of.get(_adjoin(rest, new))
+            if b is not None:
+                edges.add((a, b, label))
 
     vertices = [s_id, t_id] + [i for i in range(len(h) - 1)]
     network = SwitchingNetwork(n, vertices, s_id, t_id, undirected_edges(sorted(edges, key=str)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -89,6 +90,19 @@ class TestBuildUpper:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["sound"] and report["complete"] is True and report["family_size"] == 90
+
+    def test_general_three_vertex_core_is_pinned(self, tmp_path, capsys):
+        # the 3-vertex chain core among 6 s-lollipops, checked over all 504
+        # copies; the network file's digest pins every node, edge and order
+        gpath, out = tmp_path / "g.json", tmp_path / "net.json"
+        gpath.write_text(json.dumps(chain_with_lollipops(9, 3).to_json()))
+        code = run(["build-upper", "--mode", "general", "--graph", gpath, "--z", 2, "--verify", "--out", out])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["size"] == 2478 and report["family_size"] == 504
+        assert report["sound"] and report["complete"] is True and report["within_bound"]
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "589188c6cd4a4820c6318eb21ac5efff431743c9feba38c8d0e630896fe6d329")
 
 
 class TestBuildUpperOutFailsFast:
@@ -286,6 +300,36 @@ class TestMalformedInput:
         assert len(err) == 1 and "error" in json.loads(err[0])
 
 
+class TestBuildUpperFailureKeepsOut:
+    """A build that fails leaves an earlier --out file untouched and creates
+    no new one; a build that succeeds replaces the whole file."""
+
+    def test_failed_general_build_keeps_earlier_file(self, chain_files, tmp_path, capsys):
+        gpath, _ = chain_files
+        out = tmp_path / "prev.json"
+        out.write_text('{"keep": 1}')
+        # z = 3 exceeds the 2-vertex core
+        assert run(["build-upper", "--mode", "general", "--graph", gpath, "--z", 3, "--out", out]) == 1
+        assert out.read_text() == '{"keep": 1}'
+        capsys.readouterr()
+
+    def test_failed_chain_build_creates_no_file(self, chain_files, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(parity.math, "log2", lambda x: 0)
+        gpath, _ = chain_files
+        out = tmp_path / "new.json"
+        assert run(["build-upper", "--mode", "chain", "--graph", gpath, "--out", out]) == 1
+        assert not out.exists()
+        capsys.readouterr()
+
+    def test_successful_build_replaces_longer_file(self, chain_files, tmp_path, capsys):
+        gpath, _ = chain_files
+        out = tmp_path / "prev.json"
+        out.write_text("x" * 10**6)
+        assert run(["build-upper", "--mode", "chain", "--graph", gpath, "--out", out]) == 0
+        assert json.loads(out.read_text()) == build_chain_lollipop(4, 2, seed=0).network.to_json()
+        capsys.readouterr()
+
+
 class TestUnwritableOut:
     """An --out path that cannot be written is a usage error: exit 2 and one
     JSON error line on stderr naming the path, nothing on stdout."""
@@ -309,7 +353,10 @@ class TestParameterDomain:
     one JSON error line on stderr, nothing on stdout.  --e0, --g0 and
     --savitch are checked before any build: a token that is not an integer,
     a vertex outside 1..n, an e0 that is not a graph edge, a repeated core
-    vertex, or a --savitch path that is not an s...t path of the graph."""
+    vertex, or a --savitch path that is not an s...t path of the graph.  So
+    are build-upper's graphs: chain mode needs the canonical chain with
+    lollipops, and general mode without --g0 a core it can infer (bare.json
+    has neither a middle-to-middle edge nor an s...t path)."""
 
     @pytest.mark.parametrize("argv", [
         ["spectra", "--n", 4, "--k", 3],
@@ -325,6 +372,8 @@ class TestParameterDomain:
         ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "1,5"],
         ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "0"],
         ["build-upper", "--mode", "general", "--graph", "g.json", "--g0", "1,1"],
+        ["build-upper", "--mode", "chain", "--graph", "bare.json"],
+        ["build-upper", "--mode", "general", "--graph", "bare.json"],
         ["pebble", "--graph", "g.json", "--savitch", "s,garbage,t"],
         ["pebble", "--graph", "g.json", "--savitch", "s,9,t"],
         ["pebble", "--graph", "g.json", "--savitch", "s,3,t"],
@@ -334,7 +383,7 @@ class TestParameterDomain:
         ["verify-permutation-average", "--trials", 0],
     ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z",
             "e0-token", "e0-range", "e0-not-edge", "e0-three-vertices", "g0-token", "g0-range", "g0-zero",
-            "g0-repeated", "savitch-token", "savitch-range", "savitch-not-edge", "savitch-not-st",
+            "g0-repeated", "chain-not-canonical", "core-not-inferable", "savitch-token", "savitch-range", "savitch-not-edge", "savitch-not-st",
             "permutation-average-n-large", "permutation-average-n-zero", "permutation-average-trials"])
     def test_exits_two(self, tmp_path, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):
@@ -342,8 +391,10 @@ class TestParameterDomain:
 
         monkeypatch.setattr(lowerbound, "build_invariant_family", refuse)
         monkeypatch.setattr(parity, "build_general_network", refuse)
+        monkeypatch.setattr(parity, "build_chain_lollipop", refuse)
         (tmp_path / "g.json").write_text(json.dumps(chain_with_lollipops(4, 2).to_json()))
-        assert run([tmp_path / a if a == "g.json" else a for a in argv]) == 2
+        (tmp_path / "bare.json").write_text(json.dumps(InputGraph(4, {("s", 1), ("s", 2)}).to_json()))
+        assert run([tmp_path / a if a in ("g.json", "bare.json") else a for a in argv]) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert captured.out == ""

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchnet.cuts import CutFunction, Permutation, edge_crosses, iter_cuts
-from switchnet.graphs import InputGraph, all_distinct_permuted_copies
+from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops
+from switchnet.networks import undirected_edges
 from switchnet.pebbles import can_win_through
 from switchnet import parity
 from switchnet.parity import (
@@ -164,6 +165,29 @@ def test_legal_steps_match_builder_loop(case):
         for label, target in steps:
             g = KFunction([(1, ())]) if target is ONE else KFunction.from_chars(target)
             assert can_go(f, g, label, n=n)
+
+
+def _tuple_canonical(factors):
+    """Oracle: canonical_chars over sorted vertex tuples, as written before
+    characters were coded as ints."""
+    out = set()
+    for sign, V in factors:
+        V = tuple(sorted(V))
+        if not V:
+            if sign > 0:
+                return ONE
+            continue
+        if (-sign, V) in out:
+            return ONE
+        out.add((sign, V))
+    return tuple(sorted(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_tuples())
+def test_canonical_chars_match_tuple_rule(case):
+    _, chars = case
+    assert canonical_chars(chars) == _tuple_canonical(chars)
 
 
 class TestReductionGadget:
@@ -355,6 +379,36 @@ def eager_partition_family(n, k, z, seed=0):
     return family
 
 
+@st.composite
+def match_cases(draw):
+    """k <= 4 positions, two partitions of disjoint blocks (a vertex may lie
+    in none), injective placements and up to 16 states, so lanes of one and
+    of two bytes both occur."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 8))
+
+    def partition():
+        where = draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+        return tuple(frozenset(v for v in range(1, n + 1) if where[v - 1] == b) for b in range(k))
+
+    parts = [partition(), partition()]
+    placements = draw(st.lists(st.permutations(range(1, n + 1)).map(lambda p: tuple(p[:k])), max_size=8))
+    states = draw(st.lists(st.frozensets(st.integers(1, k)), max_size=16))
+    return k, parts, placements, states
+
+
+@settings(max_examples=300, deadline=None)
+@given(match_cases())
+def test_match_masks_match_partition_matches(case):
+    k, parts, placements, states = case
+    lane, full, mask_of = parity._match_masks(placements, states, k)
+    assert lane == (8 if len(states) <= 8 else 16)
+    pairs = [(lane * p + s, tau, st) for p, tau in enumerate(placements) for s, st in enumerate(states)]
+    assert full == sum(1 << bit for bit, _, _ in pairs)
+    for part in parts + parts:  # masks do not depend on earlier calls
+        assert mask_of(part) == sum(1 << bit for bit, tau, st in pairs if partition_matches(part, tau, st))
+
+
 class TestGreedyPick:
     def test_matches_eager_on_random_masks(self, rng):
         for _ in range(200):
@@ -400,7 +454,8 @@ class TestBuildersMatchEagerOracles:
         res = build_chain_lollipop(n, k, seed=0)
         assert (res.orderings, res.states) == eager_chain_cover(n, k, seed=0)
 
-    @pytest.mark.parametrize("n,k,z", [(4, 2, 1), (6, 2, 2), (6, 3, 2), (8, 2, 2)])
+    # (5, 5, 2) has 10 states, so its pairs take two-byte lanes
+    @pytest.mark.parametrize("n,k,z", [(4, 2, 1), (6, 2, 2), (6, 3, 2), (8, 2, 2), (5, 5, 1), (5, 5, 2)])
     def test_partition_family(self, n, k, z):
         assert build_partition_family(n, k, z, seed=0) == eager_partition_family(n, k, z, seed=0)
 
@@ -411,6 +466,43 @@ class TestBuildersMatchEagerOracles:
         monkeypatch.setattr(parity, "equal_partition_count", lambda n, k: 10**9)
         monkeypatch.setattr(parity, "PARTITION_SAMPLE_CAP", 40)
         assert build_partition_family(n, k, z, seed=seed) == eager_partition_family(n, k, z, seed=seed)
+
+
+def _tuple_builder_edges(res):
+    """Oracle: the general builder's network edges from its edge loop over
+    tuple characters, as written before characters were coded as ints."""
+    n, node_of, edges = res.graph.n, res.node_of, set()
+    for chars in node_of:
+        if chars is ONE:
+            continue
+        for fi, (sign, V) in enumerate(chars):
+            before, after = chars[:fi], chars[fi + 1 :]
+            for u in range(1, n + 1):
+                toggled = tuple(sorted(set(V) ^ {u}))
+                for label, new in ((("s", u), (-sign, toggled)), ((u, "t"), (sign, toggled))):
+                    target = _tuple_canonical(before + (new,) + after)
+                    if target in node_of:
+                        edges.add((node_of[chars], node_of[target], label))
+            if sign == 1 and len(V) == 1:
+                for w in range(1, n + 1):
+                    if w != V[0]:
+                        target = _tuple_canonical(chars + ((1, (w,)),))
+                        if target in node_of:
+                            edges.add((node_of[chars], node_of[target], (V[0], w)))
+    return undirected_edges(sorted(edges, key=str))
+
+
+MIXED_LOLLIPOPS = InputGraph(8, {("s", 1), (1, 2), (2, "t"), ("s", 3), (4, "t"), ("s", 5), (6, "t"), (7, "t"), ("s", 8)})
+
+
+@pytest.mark.parametrize("graph,k", [
+    (chain_with_lollipops(4, 2), 2), (chain_with_lollipops(6, 2), 2), (chain_with_lollipops(8, 2), 2),
+    (MIXED_LOLLIPOPS, 2), (chain_with_lollipops(6, 3), 3), (chain_with_lollipops(9, 3), 3),
+], ids=["k2-n4", "k2-n6", "k2-n8", "k2-n8-mixed", "k3-n6", "k3-n9"])
+def test_general_network_edges_match_tuple_loop(graph, k):
+    res = build_general_network(graph, list(range(1, k + 1)), z=2, seed=0)
+    assert res.functions == {i: chars for chars, i in res.node_of.items()}
+    assert res.network.edges == _tuple_builder_edges(res)
 
 
 class TestBoundOverrun:
