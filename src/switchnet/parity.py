@@ -12,9 +12,12 @@ reduction gadgets cover a general core subgraph embedded among lollipops.
 
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product, repeat
+from functools import reduce
+from itertools import combinations, permutations, product, starmap
+from operator import and_
 
 from .cuts import (
     CutFunction,
@@ -57,8 +60,9 @@ def _greedy_cover(uncovered, masks_of, cands, settle=None):
     candidates in order.  Each round picks by `_greedy_pick` over the masks
     masks_of(cands, uncovered) and clears the pick's mask; a given `settle`
     then returns settle(pick, uncovered), which may clear more bits.  `cands`
-    is a list, scored once with its bounds kept across rounds, or a function
-    drawing a fresh list that is scored every round."""
+    is any sequence with len and indexing, scored once with its bounds kept
+    across rounds, or a function drawing a fresh sequence that is scored
+    every round."""
     draw = cands if callable(cands) else None
     if draw is None:
         masks = masks_of(cands, uncovered)
@@ -359,25 +363,90 @@ class ChainLollipopResult:
         return self.network.size
 
 
+class _Orderings:
+    """Orderings of 1..n as one bytes string of n-entry rows.  An entry is
+    little-endian and as wide as the first of the struct codes B, H, I, Q
+    that holds n below its top bit (one byte up to n = 127); indexing
+    decodes a row to a tuple of ints."""
+
+    def __init__(self, n, rows):
+        self.n = n
+        self.code = next(c for c in "BHIQ" if n < 1 << 8 * struct.calcsize(c) - 1)
+        self.width = struct.calcsize(self.code)
+        self.row = struct.Struct(f"<{n}{self.code}")
+        self.flat = b"".join(starmap(self.row.pack, rows))
+
+    def __len__(self):
+        return len(self.flat) // self.row.size
+
+    def __getitem__(self, r):
+        return self.row.unpack_from(self.flat, r * self.row.size)
+
+
+def _order_masks(rows, uncovered, placements):
+    """Bit p of the r-th mask is set when bit p of `uncovered` is and the
+    vertices of placements[p] appear in that order in the ordering rows[r].
+
+    Each row is one lane of an int, as wide as a row entry (w bytes).  A
+    vertex's position lane comes from the row columns; a pair's "a comes
+    before b" lane is the top bit of pos[b] + 2**(8w-1) - pos[a], which
+    never borrows across lanes; a placement's lane ANDs its consecutive
+    pairs.  Every 8w placements' lanes, each shifted to its bit, make one
+    plane, and the planes are interleaved into rows of bytes that are read
+    back as one int per row.
+    """
+    n, w, count = rows.n, rows.width, len(rows)
+    top, per = 8 * w - 1, 8 * w
+    ones = int.from_bytes((1).to_bytes(w, "little") * count, "little")
+    high = ones << top
+    items = memoryview(rows.flat).cast(rows.code)
+    cols = [int.from_bytes(items[i::n].tobytes(), "little") for i in range(n)]
+    pos, before = {}, {}
+
+    def position(v):  # lane-wise index of the column holding v
+        if v not in pos:
+            pos[v] = sum(i * ((high - (c ^ v * ones)) >> top & ones) for i, c in enumerate(cols))
+        return pos[v]
+
+    def precedes(a, b):
+        if (a, b) not in before:
+            before[a, b] = ((position(b) | high) - position(a)) >> top & ones
+        return before[a, b]
+
+    groups = -(-len(placements) // per)
+    stride = groups * w  # bytes per mask
+    out = bytearray(count * stride)
+    for g in range(groups):
+        chosen, plane = uncovered >> g * per, 0
+        for i, tup in enumerate(placements[g * per : (g + 1) * per]):
+            if chosen >> i & 1:
+                plane |= reduce(and_, map(precedes, tup, tup[1:]), ones) << i
+        if plane:
+            data = plane.to_bytes(count * w, "little")
+            for q in range(w):
+                out[g * w + q :: stride] = data[q::w]
+    view = memoryview(out)
+    return [int.from_bytes(view[j : j + stride], "little") for j in range(0, len(out), stride)]
+
+
 def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
     """Greedy nested-prefix state cover for the chain-with-lollipops family,
     emitted as a switching network of size at most k! k n lg n.
 
     Candidate vertex orderings are enumerated exhaustively for n <= 8 and
-    sampled (seeded, CHAIN_SAMPLE_CAP per round) above that; each round keeps
-    the first ordering whose prefix states cover the most remaining placements.
+    sampled (seeded, CHAIN_SAMPLE_CAP per round) above that, held as byte
+    rows (`_Orderings`); each round keeps the first ordering whose prefix
+    states cover the most remaining placements, scored by `_order_masks`.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     rng = random.Random(seed)
     placements = placement_graphs(n, k)
+    tuples = [tup for tup, _ in placements]
     states = set()
 
     def masks_of(cands, uncovered):
-        # A placement lies in order along an ordering exactly when it is one
-        # of the ordering's k-subsequences; distinct bits sum to their union.
-        bit = {tup: 1 << i for i, (tup, _) in enumerate(placements) if uncovered >> i & 1}
-        return [sum(map(bit.get, combinations(o, k), repeat(0))) for o in cands]
+        return _order_masks(cands, uncovered, tuples)
 
     def settle(best, uncovered):
         # placements the ordering contains win along its prefixes; test the rest
@@ -387,8 +456,9 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
                 uncovered &= ~(1 << i)
         return uncovered
 
-    cands = (list(permutations(range(1, n + 1))) if n <= 8
-             else lambda: [tuple(rng.sample(range(1, n + 1), n)) for _ in range(CHAIN_SAMPLE_CAP)])
+    vertices = range(1, n + 1)
+    cands = (_Orderings(n, permutations(vertices)) if n <= 8
+             else lambda: _Orderings(n, (rng.sample(vertices, n) for _ in range(CHAIN_SAMPLE_CAP))))
     orderings = _greedy_cover((1 << len(placements)) - 1, masks_of, cands, settle)
 
     bound = math.factorial(k) * k * n * math.log2(n)

@@ -104,6 +104,23 @@ class TestBuildUpper:
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == "589188c6cd4a4820c6318eb21ac5efff431743c9feba38c8d0e630896fe6d329")
 
+    @pytest.mark.parametrize("n,k,orderings,digest", [
+        (8, 2, 2, "c7a628d99e8651df218b7ad4e46d7183915c8c174ee8352d59fa655df9eac84a"),
+        (9, 2, 3, "66fe253838fbfe465307212a2758c8d76a5b00740af2bba9ed8ead8c7359c8a0"),
+        (10, 3, 13, "075618832dcc3e1cae37457c7d9c76cb50673de895cce45ebcd7c89057d4b309"),
+    ], ids=["n8k2", "n9k2", "n10k3"])
+    def test_chain_network_is_pinned(self, tmp_path, monkeypatch, capsys, n, k, orderings, digest):
+        # exhaustive orderings at n=8, sampled ones (seed 0) above; the
+        # network file's digest pins every node, edge and order
+        built, build = [], parity.build_chain_lollipop
+        monkeypatch.setattr(parity, "build_chain_lollipop", lambda *a, **kw: built.append(build(*a, **kw)) or built[0])
+        gpath, out = tmp_path / "g.json", tmp_path / "net.json"
+        gpath.write_text(json.dumps(chain_with_lollipops(n, k).to_json()))
+        assert run(["build-upper", "--mode", "chain", "--graph", gpath, "--out", out]) == 0
+        assert json.loads(capsys.readouterr().out)["within_bound"]
+        assert len(built[0].orderings) == orderings
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestBuildUpperOutFailsFast:
     @pytest.mark.parametrize("mode", ["chain", "general"])

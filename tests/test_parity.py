@@ -1,7 +1,9 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,16 @@ class TestChainLollipopBuilder:
         with pytest.raises(ValueError):
             build_chain_lollipop(3, 5)
 
+    def test_two_byte_rows_at_n260(self):
+        # vertices above 127 take two-byte row entries; the orderings and the
+        # network are the ones the tuple-based cover built
+        res = build_chain_lollipop(260, 1, seed=0)
+        assert res.size == 260 and len(res.orderings) == 1 and len(res.orderings[0]) == 260
+        assert (hashlib.sha256(json.dumps(res.orderings).encode()).hexdigest()
+                == "d316db1a1820e99593779f99bf630102253248e84dddf8d16225153ce5af10ed")
+        assert (hashlib.sha256(json.dumps(res.network.to_json(), sort_keys=True).encode()).hexdigest()
+                == "4748b1f419e2d6a1c2533f6463716af768fd50b75ce1531a2e5ccd908d7f5c08")
+
 
 class TestPartitionFamily:
     def test_k2_z1_n4_exhaustive_coverage(self):
@@ -407,6 +419,56 @@ def test_match_masks_match_partition_matches(case):
     assert full == sum(1 << bit for bit, _, _ in pairs)
     for part in parts + parts:  # masks do not depend on earlier calls
         assert mask_of(part) == sum(1 << bit for bit, tau, st in pairs if partition_matches(part, tau, st))
+
+
+def masks_by_combinations(orderings, uncovered, placements, k):
+    """The chain cover's masks by definition: a placement lies in order along
+    an ordering exactly when it is one of the ordering's k-subsequences, and
+    distinct bits sum to their union."""
+    bit = {tup: 1 << i for i, tup in enumerate(placements) if uncovered >> i & 1}
+    return [sum(map(bit.get, combinations(o, k), repeat(0))) for o in orderings]
+
+
+@st.composite
+def order_cases(draw):
+    """n <= 9 and 1 <= k <= min(n, 4); every ordering of 1..n (for n <= 6),
+    a sample of orderings or a single one; uncovered is 0, every placement or
+    a random subset."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, min(n, 4)))
+    placements = list(permutations(range(1, n + 1), k))
+    kind = draw(st.sampled_from(["exhaustive", "sampled", "single"] if n <= 6 else ["sampled", "single"]))
+    if kind == "exhaustive":
+        orderings = list(permutations(range(1, n + 1)))
+    else:
+        size = 1 if kind == "single" else 40
+        orderings = draw(st.lists(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=size))
+    full = (1 << len(placements)) - 1
+    uncovered = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return n, k, placements, orderings, uncovered
+
+
+def check_order_masks(n, k, placements, orderings, uncovered):
+    rows = parity._Orderings(n, orderings)
+    assert len(rows) == len(orderings) and [rows[r] for r in range(len(rows))] == orderings
+    assert parity._order_masks(rows, uncovered, placements) == masks_by_combinations(orderings, uncovered, placements, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_cases())
+def test_order_masks_match_combinations(case):
+    check_order_masks(*case)
+
+
+@pytest.mark.parametrize("n,width", [(127, 1), (128, 2), (130, 2)])
+def test_order_masks_widen_with_n(rng, n, width):
+    # 127 is the largest n whose vertices and positions stay below a one-byte
+    # entry's top bit; above it, rows and lanes take two bytes
+    orderings = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(5)]
+    placements = list(permutations(range(1, n + 1), 2))
+    assert parity._Orderings(n, orderings).width == width
+    for uncovered in (0, (1 << len(placements)) - 1, rng.getrandbits(len(placements))):
+        check_order_masks(n, 2, placements, orderings, uncovered)
 
 
 class TestGreedyPick:
