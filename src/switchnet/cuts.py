@@ -8,11 +8,12 @@ indexed by cut bitmask and as a sparse Fourier coefficient map keyed by
 vertex subsets; the character e_V takes the value (-1)**|V & L(C)|.
 
 Arithmetic is exact: scalars are ints or fractions.Fraction, and the dense
-transforms run on Python ints over one common denominator per function.
-Every identity checked elsewhere in the package relies on that exactness.
-Values from coefficients are computed on the subcube of the support (the
-vertices the coefficients' sets touch), 2**|support| entries, and then
-lifted to all 2**n cuts; the value depends on no other vertex.
+transforms and invariance relations run on Python ints over one common
+denominator per function.  Every identity checked elsewhere in the package
+relies on that exactness.  Values from coefficients are computed on the
+subcube of the support (the vertices the coefficients' sets touch),
+2**|support| entries; the value depends on no other vertex.  Only `values`
+lifts them to all 2**n cuts.
 """
 
 from fractions import Fraction
@@ -72,6 +73,8 @@ def _left_mask(n: int, v: int) -> int:
 def crossing_mask(n: int, edge) -> int:
     """Bitmask over all 2**n cuts with bit C set iff the edge crosses C."""
     tail, head = edge
+    if not (_valid_vertex(tail, n) and _valid_vertex(head, n)):
+        raise ValueError(f"edge {edge!r} leaves s, t, 1..{n}")
     if tail == "t" or head == "s":
         return 0
     full = full_cut_mask(n)
@@ -109,31 +112,22 @@ def _walsh(vals, n):
     return vals
 
 
-def _support_values(coeffs, n):
-    """The 2**n values of sum_V c(V) e_V, transformed on the subcube of the
-    support U (the union of the V) and then lifted to every cut.
-
-    The dense table has 2**|U| entries, bit j of its index standing for the
-    j-th vertex of U; its values are divided by the common denominator
-    before the lift.  The lift runs over the cut bits from low to high and
-    keeps the table as consecutive blocks of 2**b entries, the cuts that
-    agree above bit b: a bit in U joins blocks 2i and 2i+1 (the next block
-    size needs no copy), a bit outside U doubles each block (blk + blk).
-    When U holds all n vertices nothing is lifted."""
-    bit = {v: 1 << j for j, v in enumerate(sorted(set().union(*coeffs)))}
+def integer_coeffs(coeffs):
+    """(den, {V: c * den}) for den the lcm of the denominators of c."""
     den = common_denominator(coeffs.values())
+    return den, {V: c.numerator * (den // c.denominator) for V, c in coeffs.items()}
+
+
+def _support_transform(coeffs):
+    """(U, den, table): U the sorted union of the V, table the 2**|U| ints
+    den * sum_V c(V) e_V, bit j of the index standing for U[j]."""
+    support = sorted(set().union(*coeffs))
+    bit = {v: 1 << j for j, v in enumerate(support)}
+    den, nums = integer_coeffs(coeffs)
     dense = [0] * (1 << len(bit))
-    for V, c in coeffs.items():
-        dense[sum(bit[v] for v in V)] = c.numerator * (den // c.denominator)
-    values = _walsh(dense, len(bit))
-    if den != 1:
-        values = [Fraction(v, den) for v in values]
-    for b in range(n):
-        if b + 1 not in bit:
-            run = 1 << b
-            values = list(chain.from_iterable(
-                values[i:i + run] * 2 for i in range(0, len(values), run)))
-    return values
+    for V, num in nums.items():
+        dense[sum(bit[v] for v in V)] = num
+    return support, den, _walsh(dense, len(bit))
 
 
 class Permutation:
@@ -174,9 +168,6 @@ class Permutation:
             if (cut >> (v - 1)) & 1:
                 out |= 1 << (self.mapping[v] - 1)
         return out
-
-    def apply_edge(self, edge):
-        return (self(edge[0]), self(edge[1]))
 
     def compose(self, other):
         """self after other: (self.compose(other))(v) = self(other(v))."""
@@ -241,7 +232,18 @@ class CutFunction:
         if self._values is None:
             if self.n > DENSE_CAP:
                 raise ValueError(f"dense representation refused for n={self.n} > {DENSE_CAP}")
-            self._values = _support_values(self._coeffs, self.n)
+            support, den, values = _support_transform(self._coeffs)
+            # lift over the cut bits from low to high, as blocks of 2**b
+            # entries that agree above bit b: a bit in the support joins
+            # blocks 2i and 2i+1, a bit outside it doubles each block
+            if den != 1:
+                values = [Fraction(v, den) for v in values]
+            for b in range(self.n):
+                if b + 1 not in support:
+                    run = 1 << b
+                    values = list(chain.from_iterable(
+                        values[i:i + run] * 2 for i in range(0, len(values), run)))
+            self._values = values
         return self._values
 
     @property
@@ -307,9 +309,6 @@ class CutFunction:
 
     def __neg__(self):
         return CutFunction(self.n, coeffs={V: -c for V, c in self.coeffs.items()})
-
-    def scaled(self, a):
-        return CutFunction(self.n, coeffs={V: a * c for V, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, CutFunction) and self.n == other.n and self.coeffs == other.coeffs
@@ -394,6 +393,11 @@ def _nondegenerate(edge, n):
     return _valid_vertex(tail, n) and _valid_vertex(head, n)
 
 
+def _require_nondegenerate(edge, n):
+    if not _nondegenerate(edge, n):
+        raise ValueError(f"degenerate edge {edge!r}")
+
+
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -405,8 +409,14 @@ def nonzero_mask(values) -> int:
 
 
 def invariant_by_values(g: CutFunction, edge) -> bool:
-    """g(C) = 0 on every cut crossed by the edge, as bitmasks over all cuts."""
-    return nonzero_mask(g.values) & crossing_mask(g.n, tuple(edge)) == 0
+    """g(C) = 0 on every crossed cut, as bitmasks over the 2**|U| cuts of g's
+    support U: g ignores an endpoint outside U, read as s (tail) or t (head)."""
+    _require_nondegenerate(edge, g.n)
+    support, _, table = _support_transform(g.coeffs)
+    local = {v: j for j, v in enumerate(support, 1)}
+    tail, head = edge
+    edge = (local.get(tail, "s"), local.get(head, "t"))
+    return nonzero_mask(table) & crossing_mask(len(support), edge) == 0
 
 
 def relation_violations(g: CutFunction, edge, below=None):
@@ -418,6 +428,7 @@ def relation_violations(g: CutFunction, edge, below=None):
         v->t:   c(V+v) =  c(V)
         v->w:   c(V+v+w) = -c(V+v) + c(V+w) + c(V)
 
+    The sums run on integer numerators; a positive factor keeps zeros.
     With `below`, only bases whose top set V + endpoints has fewer than
     `below` vertices.  Lazily generated."""
     tail, head = edge
@@ -429,7 +440,7 @@ def relation_violations(g: CutFunction, edge, below=None):
         terms = ((frozenset([tail, head]), 1), (frozenset([tail]), 1),
                  (frozenset([head]), -1), (frozenset(), -1))
     mids = terms[0][0]
-    co = g.coeffs
+    _, co = integer_coeffs(g.coeffs)
     for V in {V - mids for V in co}:
         if below is not None and len(V | mids) >= below:
             continue
@@ -439,6 +450,7 @@ def relation_violations(g: CutFunction, edge, below=None):
 
 def invariant_by_coeffs(g: CutFunction, edge) -> bool:
     """Coefficient-domain invariance test: no base breaks the edge's relation."""
+    _require_nondegenerate(edge, g.n)
     return next(relation_violations(g, edge), None) is None
 
 
@@ -448,8 +460,6 @@ def is_edge_invariant(g: CutFunction, edge) -> bool:
     Runs both the value-domain and coefficient-domain tests and insists
     they agree; a disagreement would be an internal bug.
     """
-    if not _nondegenerate(edge, g.n):
-        raise ValueError(f"degenerate edge {edge!r}")
     by_coeff = invariant_by_coeffs(g, edge)
     if g.n <= DENSE_CAP:
         by_value = invariant_by_values(g, edge)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .cuts import CutFunction, _nondegenerate, is_edge_invariant, relation_violations
+from .cuts import CutFunction, _nondegenerate, _require_nondegenerate, is_edge_invariant, relation_violations
 from .graphs import InputGraph
 from .spectral import min_norm_solve
 from .subsets import colex_rank, k_subsets
@@ -125,8 +125,7 @@ class SumVectorTable:
     def delta_coordinate(self, edge, k: int, u: int, A):
         """Defect of the edge's equation at one coordinate; 0 when the edge's
         middle endpoints are not inside A."""
-        if not _nondegenerate(edge, self.n):
-            raise ValueError(f"degenerate edge {edge!r}")
+        _require_nondegenerate(edge, self.n)
         A = frozenset(A)
         for x in edge:
             if x not in ("s", "t") and x not in A:
@@ -445,8 +444,7 @@ def _check_extension_precondition(g: CutFunction, edge, z: int):
 def extend_invariant(g: CutFunction, edge, z: int) -> CutFunction:
     """Extension of a compliant base function to an exactly e-invariant
     function by choosing the level-z coefficients; levels below z unchanged."""
-    if not _nondegenerate(edge, g.n):
-        raise ValueError(f"degenerate edge {edge!r}")
+    _require_nondegenerate(edge, g.n)
     _check_extension_precondition(g, edge, z)
     tail, head = edge
     base = g.coeffs

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .cuts import CutFunction, Permutation, common_denominator
+from .cuts import CutFunction, Permutation, integer_coeffs
 
 BRUTEFORCE_CAP = 8  # the brute force walks n! permutations; refuse beyond this
 
@@ -41,18 +41,16 @@ def scatter_sums(g: CutFunction, keys):
     numerator at the sorted k-tuple A is den * s_single(g, A, u), and
     k-subsets whose sum has no term are absent.  den is the lcm of the
     denominators of g's coefficients; pairs with k or u negative stay empty."""
-    co = g.coeffs
-    den = common_denominator(co.values())
+    den, nums = integer_coeffs(g.coeffs)
     keys = {(k, u) for k, u in keys}
     table = {key: defaultdict(int) for key in keys}
     ks_at = defaultdict(list)  # level |V| -> the k whose (k, |V| - k) is requested
     for k, u in keys:
         if k >= 0 and u >= 0:
             ks_at[k + u].append(k)
-    for V, c in co.items():
+    for V, num in nums.items():
         ks = ks_at.get(len(V))
         if ks:
-            num = c.numerator * (den // c.denominator)
             members = sorted(V)
             for k in ks:
                 sums = table[(k, len(V) - k)]

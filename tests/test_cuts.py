@@ -18,11 +18,13 @@ from switchnet.cuts import (
     invariant_by_coeffs,
     invariant_by_values,
     is_edge_invariant,
+    integer_coeffs,
     iter_cuts,
     maximal_no_instance,
     nonzero_mask,
     parity_mask,
     permute,
+    relation_violations,
     transform,
 )
 from switchnet.graphs import InputGraph
@@ -177,7 +179,7 @@ class TestEdgeCrossing:
             u, v = rng.sample(["s", "t"] + list(range(1, n + 1)), 2)
             c = rng.randrange(1 << n)
             assert edge_crosses((u, v), c) == edge_crosses(
-                sigma.apply_edge((u, v)), sigma.apply_cut(c)
+                (sigma(u), sigma(v)), sigma.apply_cut(c)
             )
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -247,6 +249,25 @@ class TestEdgeInvariance:
         for e in [(1, "s"), ("t", 2), ("s", "t")]:
             with pytest.raises(ValueError):
                 is_edge_invariant(g, e)
+
+    def test_out_of_range_vertices_rejected(self):
+        g = CutFunction.constant(3, Fraction(1))
+        for e in [(7, "t"), ("s", 5), (7, 1), (1, 4), (0, "t")]:
+            with pytest.raises(ValueError):
+                crossing_mask(3, e)
+            with pytest.raises(ValueError):
+                invariant_by_values(g, e)
+            with pytest.raises(ValueError):
+                invariant_by_coeffs(g, e)
+            with pytest.raises(ValueError):
+                is_edge_invariant(g, e)
+
+    def test_degenerate_edges_rejected_by_each_test(self):
+        g = CutFunction.constant(3, Fraction(1))
+        for e in [(1, "s"), ("t", 2), ("s", "t"), (2, 2)]:
+            for test in (invariant_by_values, invariant_by_coeffs):
+                with pytest.raises(ValueError):
+                    test(g, e)
 
     def test_value_and_coeff_tests_agree(self, rng):
         # agreement over many random functions and all non-degenerate edges
@@ -418,3 +439,100 @@ class TestSupportSubcube:
         assert len(values) == 1 << 15
         assert {values[c] for c in range(1 << 15) if not (c >> 8) & 1} == {Fraction(-1, 15)}
         assert {values[c] for c in range(1 << 15) if (c >> 8) & 1} == {Fraction(11, 15)}
+
+
+def all_cuts_invariant(g, edge):
+    """The value test over all 2**n cuts: g's dense values against the edge's
+    crossing mask."""
+    return nonzero_mask(g.values) & crossing_mask(g.n, tuple(edge)) == 0
+
+
+def fraction_relation_violations(g, edge, below=None):
+    """The invariance relations summed on the Fraction coefficients
+    themselves: the oracle of the integer-numerator sums."""
+    tail, head = edge
+    if tail == "s":
+        terms = ((frozenset([head]), 1), (frozenset(), 1))
+    elif head == "t":
+        terms = ((frozenset([tail]), 1), (frozenset(), -1))
+    else:
+        terms = ((frozenset([tail, head]), 1), (frozenset([tail]), 1),
+                 (frozenset([head]), -1), (frozenset(), -1))
+    mids = terms[0][0]
+    co = g.coeffs
+    for V in {V - mids for V in co}:
+        if below is not None and len(V | mids) >= below:
+            continue
+        if sum(sign * co.get(V | D, 0) for D, sign in terms) != 0:
+            yield V
+
+
+def nondegenerate_edges(n):
+    middles = list(range(1, n + 1))
+    return [(a, b) for a in ["s"] + middles for b in middles + ["t"]
+            if a != b and (a, b) != ("s", "t")]
+
+
+@st.composite
+def invariance_cases(draw):
+    """Functions on n <= 8 whose coefficients sit on a drawn support, which
+    may miss any vertex: zero, constant, sparse, or sparse times (1 -+ e_w)
+    for a support vertex w, which vanishes on every cut with w on the t side
+    (or the s side) and so is invariant under every edge into (out of) w."""
+    n = draw(st.integers(1, 8))
+    support = sorted(draw(st.frozensets(st.integers(1, n))))
+    kind = draw(st.sampled_from(["zero", "constant", "sparse", "vanishing"]))
+    if kind == "zero":
+        return CutFunction(n, coeffs={})
+    if kind == "constant":
+        return CutFunction.constant(n, draw(rationals()))
+    keys = st.frozensets(st.sampled_from(support)) if support else st.just(frozenset())
+    coeffs = draw(st.dictionaries(keys, rationals(), max_size=6))
+    if kind == "vanishing" and support:
+        w = frozenset([draw(st.sampled_from(support))])
+        sign = draw(st.sampled_from([1, -1]))
+        coeffs = {V ^ D: 0 for V in coeffs for D in (frozenset(), w)} | coeffs
+        coeffs = {V: c - sign * coeffs.get(V ^ w, 0) for V, c in coeffs.items()}
+    return CutFunction(n, coeffs=coeffs)
+
+
+class TestInvarianceOnTheSupport:
+    """The subcube value test and the integer relations against the all-cuts
+    sweep and the Fraction relations, over every non-degenerate edge: edges
+    with none, one or both endpoints outside the support."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(invariance_cases())
+    def test_matches_all_cuts_and_fraction_oracles(self, g):
+        n = g.n
+        for edge in nondegenerate_edges(n):
+            by_value = invariant_by_values(g, edge)
+            assert by_value == all_cuts_invariant(g, edge)
+            assert invariant_by_coeffs(g, edge) == by_value
+            assert is_edge_invariant(g, edge) == by_value
+            for below in [None, *range(1, n + 2)]:
+                assert set(relation_violations(g, edge, below)) == set(
+                    fraction_relation_violations(g, edge, below))
+
+    def test_vanishing_functions_are_invariant_off_the_support(self):
+        # support {2}: 1 - e_2 vanishes when 2 is on the t side, so every
+        # edge into 2 keeps it invariant, whatever its tail
+        g = CutFunction(4, coeffs={frozenset(): 1, frozenset([2]): -1})
+        for edge in [("s", 2), (1, 2), (3, 2), (4, 2)]:
+            assert invariant_by_values(g, edge) and invariant_by_coeffs(g, edge)
+        for edge in [(1, 3), (2, 3), (1, "t"), (2, "t"), ("s", 4)]:
+            assert not invariant_by_values(g, edge) and not invariant_by_coeffs(g, edge)
+
+    def test_value_test_caches_no_values(self):
+        g = CutFunction(12, coeffs={frozenset(): 1, frozenset([5]): Fraction(-1, 3)})
+        invariant_by_values(g, (5, 9))
+        assert g._values is None
+
+
+def test_integer_coeffs():
+    assert integer_coeffs({}) == (1, {})
+    co = {frozenset(): Fraction(1, 4), frozenset([1]): Fraction(-5, 6), frozenset([2]): 3}
+    den, nums = integer_coeffs(co)
+    assert den == 12
+    assert nums == {frozenset(): 3, frozenset([1]): -10, frozenset([2]): 36}
+    assert all(type(x) is int for x in nums.values())

@@ -56,7 +56,7 @@ def invariance_multiplier(n, edge):
     factor = pointwise_product(
         one - CutFunction.character(n, {tail}), one + CutFunction.character(n, {head})
     )
-    return one.scaled(Fraction(4)) - factor
+    return CutFunction.constant(n, Fraction(4)) - factor
 
 
 def admissible_base(n, edge, z, rng):
@@ -678,6 +678,15 @@ class TestCertificate:
         fam, _, _ = build_invariant_family(LONG_CHAIN, 2)
         with pytest.raises(ValueError):
             lower_bound_certificate(LONG_CHAIN, fam, e0=("s", 9))
+
+    def test_dense_certificate_keeps_no_value_lists(self):
+        # n = 15 runs the value-domain invariance test on every function,
+        # on the support's subcube: no 2**15-entry list is built or cached
+        graph = chain_with_lollipops(15, 1)
+        fam, _, _ = build_invariant_family(graph, 1)
+        cert = lower_bound_certificate(graph, fam)
+        assert cert.max_sum == Fraction(16, 5)
+        assert all(g._values is None for g in fam.functions.values())
 
 
 class TestClosedForm:
