@@ -18,7 +18,7 @@ import random
 import sys
 from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 from . import lowerbound, parity, pebbles, spectral, sums
 from .cuts import random_sparse_function
@@ -347,7 +347,9 @@ def cmd_formulas(args):
     return EXIT_OK
 
 
+@cache
 def build_parser():
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="switchnet",
         description="Monotone switching networks for directed connectivity: "

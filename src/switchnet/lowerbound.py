@@ -11,7 +11,10 @@ by setting the level-z coefficients; feed the differences g_e - g_{e0}
 into the permutation-average bound to certify a lower bound on the size
 of any sound monotone network accepting every permuted copy of the graph.
 
-All construction arithmetic is exact rationals.
+All arithmetic is exact.  The table is built on integer numerators over
+one table denominator, rescaled after each solve, and handed back as
+Fractions; the differences g_e - g_{e0} are integer numerators over one
+family denominator, so their bound sums divide by its square once.
 """
 
 import math
@@ -19,7 +22,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .cuts import CutFunction, _nondegenerate, _require_nondegenerate, is_edge_invariant, relation_violations
+from .cuts import (
+    CutFunction,
+    _nondegenerate,
+    _require_nondegenerate,
+    common_denominator,
+    is_edge_invariant,
+    relation_violations,
+)
 from .graphs import InputGraph
 from .spectral import min_norm_solve
 from .subsets import colex_rank, k_subsets
@@ -77,8 +87,11 @@ class SumVectorTable:
     """Vectors s(k, u) over colex-ranked k-subsets, for levels k+u <= max_level.
 
     Coordinates outside the stored levels read as zero, matching functions
-    whose coefficients vanish at and above level max_level + 1.
+    whose coefficients vanish at and above level max_level + 1.  Stored
+    values are numerators over `den`, which is 1 for a table of Fractions.
     """
+
+    den = 1
 
     def __init__(self, n: int, max_level: int, vectors=None, tags=None, z=None):
         self.n = n
@@ -150,13 +163,14 @@ class SumVectorTable:
         return out
 
     def norms(self, k: int, u: int):
-        """(full, fixed, free) squared norms of the stored vector."""
+        """(full, fixed, free) squared norms of the stored vector, as Fractions."""
         vec = self.vectors.get((k, u), [])
         tags = self.tags.get((k, u))
-        full = sum((x * x for x in vec), start=Fraction(0))
+        scale = self.den * self.den
+        full = Fraction(sum(x * x for x in vec), scale)
         if tags is None:
             return full, None, None
-        fixed = sum((x * x for x, t in zip(vec, tags) if t == "fixed"), start=Fraction(0))
+        fixed = Fraction(sum(x * x for x, t in zip(vec, tags) if t == "fixed"), scale)
         return full, fixed, full - fixed
 
     def to_json(self):
@@ -182,6 +196,26 @@ class SumVectorTable:
             if items and "tag" in items[0]:
                 tags[(k, u)] = [it["tag"] for it in items]
         return cls(obj["n"], obj["max_level"], vectors, tags, z=obj.get("z"))
+
+
+class _NumeratorTable(SumVectorTable):
+    """The table while `build_base_function` builds it: integer numerators
+    over `den`, read through per-k rank maps from frozensets, which list the
+    k-subsets in colex order."""
+
+    def __init__(self, n: int, max_level: int, z: int):
+        super().__init__(n, max_level, z=z)
+        self.ranks = {}
+
+    def lookup(self, k: int, u: int, A):
+        vec = self.vectors.get((k, u))
+        return 0 if vec is None else vec[self.ranks[k][A]]
+
+    def rescale(self, d: int):
+        """Multiply every stored numerator and the denominator by d."""
+        for vec in self.vectors.values():
+            vec[:] = [x * d for x in vec]
+        self.den *= d
 
 
 def table_from_function(g: CutFunction, max_level: int, graph=None, z=None) -> SumVectorTable:
@@ -227,7 +261,8 @@ def fixed_value(table: SumVectorTable, graph: InputGraph, z: int, k: int, u: int
     for e, val in zip(edges[1:], values[1:]):
         if val != first:
             raise ConstructionError(
-                f"equations disagree at ({k},{u},{sorted(A)}): {edges[0]} gives {first}, {e} gives {val}",
+                f"equations disagree at ({k},{u},{sorted(A)}): {edges[0]} gives "
+                f"{Fraction(first, table.den)}, {e} gives {Fraction(val, table.den)}",
                 k,
                 u,
             )
@@ -311,15 +346,19 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
         m_hypothesis_ok=hypotheses["m_small_enough"],
     )
 
-    table = SumVectorTable(n, z - 1, z=z)
-    edges_at = {}
+    table = _NumeratorTable(n, z - 1, z)
+    edges_at, full_sq = {}, {}
     for level in range(0, z):
         for k in range(0, level + 1):
             u = level - k
             subsets = k_subsets(n, k)
+            if k not in table.ranks:
+                table.ranks[k] = {frozenset(A): i for i, A in enumerate(subsets)}
+            rank = table.ranks[k]
             edges = edges_at[(k, u)] = [relevant_edges(graph, z, k, u, A) for A in subsets]
             tags = table.tags[(k, u)] = ["fixed" if e else "free" for e in edges]
-            vec = [None] * len(subsets)
+            # stored now so that a rescale reaches it; no equation reads its own level
+            vec = table.vectors[(k, u)] = [0] * len(subsets)
 
             for i, A in enumerate(subsets):
                 if edges[i]:
@@ -327,33 +366,33 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
                     if count >= 2:
                         diag.multi_equation_checks += count - 1
 
-            adj_norm_sq = Fraction(0)
+            adj_sq, adj_den = 0, table.den
             if k == 0:
                 if tags[0] == "fixed":
                     raise ConstructionError("empty coordinate fixed; short s->t path slipped through", 0, u)
-                vec[0] = Fraction(1) if level == 0 else Fraction(0)
+                vec[0] = table.den if level == 0 else 0
             else:
-                prev_subsets = k_subsets(n, k - 1)
                 prev_tags = table.tags[(k - 1, u + 1)]
                 prev_vec = table.vectors[(k - 1, u + 1)]
                 free_rows = [j for j, t in enumerate(prev_tags) if t == "free"]
                 free_cols = [i for i, t in enumerate(tags) if t == "free"]
                 if free_rows:
+                    prev_sets = list(table.ranks[k - 1])
                     col_pos = {i: p for p, i in enumerate(free_cols)}
                     matrix, rhs = [], []
                     for j in free_rows:
-                        V = frozenset(prev_subsets[j])
+                        V = prev_sets[j]
                         row = [0] * len(free_cols)
-                        adj = Fraction(0)
+                        adj = 0
                         for b in range(1, n + 1):
                             if b in V:
                                 continue
-                            sup = colex_rank(V | {b})
+                            sup = rank[V | {b}]
                             if tags[sup] == "fixed":
                                 adj -= vec[sup]
                             else:
                                 row[col_pos[sup]] += 1
-                        adj_norm_sq += adj * adj
+                        adj_sq += adj * adj
                         target = adj + (u + 1) * prev_vec[j]
                         if all(x == 0 for x in row):
                             # every superset is fixed; the constraint must already hold
@@ -371,21 +410,21 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
                             raise ConstructionError(
                                 f"restricted solve failed at (k={k}, u={u}): {exc}", k, u
                             ) from exc
+                        d = common_denominator(sol)
+                        if d != 1:
+                            table.rescale(d)
                         for p, i in enumerate(free_cols):
-                            vec[i] = sol[p]
-                for i in free_cols:
-                    if vec[i] is None:
-                        vec[i] = Fraction(0)
-
-            table.vectors[(k, u)] = vec
+                            vec[i] = sol[p].numerator * (d // sol[p].denominator)
 
             full, fixed_sq, free_sq = table.norms(k, u)
+            full_sq[(k, u)] = full
+            adj_norm_sq = Fraction(adj_sq, adj_den * adj_den)
             base = 9 * m_link * n
             target_sq = Fraction(base, 1) ** (k + u) / 4  # square of (1/2)(9mn)^{(k+u)/2}
             km = k * m_link
 
             def norm_at(kk, uu):
-                return table.norms(kk, uu)[0]
+                return full_sq.get((kk, uu), Fraction(0))
 
             rec_bound = (
                 2 * norm_at(k, u - 1)
@@ -409,28 +448,36 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
                 else True,
             )
 
+    _verify_completed_table(table, edges_at)
+    den = table.den
+    out = SumVectorTable(
+        n, z - 1, {key: [Fraction(x, den) for x in vec] for key, vec in table.vectors.items()}, table.tags, z=z
+    )
     coeffs = {}
     for k in range(0, z):
-        vec = table.vectors[(k, 0)]
-        for i, A in enumerate(k_subsets(n, k)):
-            if vec[i] != 0:
-                coeffs[frozenset(A)] = vec[i]
-    g = CutFunction(n, coeffs=coeffs)
-
-    _verify_completed_table(table, edges_at)
-    return g, table, diag
+        for A, c in zip(table.ranks[k], out.vectors[(k, 0)]):
+            if c != 0:
+                coeffs[A] = c
+    return CutFunction(n, coeffs=coeffs), out, diag
 
 
-def _verify_completed_table(table: SumVectorTable, edges_at: dict):
-    """Exact sweep, in build order over the stored relevant-edge lists: every
-    error vector zero, every relevant defect zero."""
+def _verify_completed_table(table: _NumeratorTable, edges_at: dict):
+    """Exact sweep over the numerators, in build order over the stored
+    relevant-edge lists: every error vector zero, as
+    u s(k, u, A) = sum over b outside A of s(k+1, u-1, A + b), and every
+    relevant defect zero."""
+    n, look = table.n, table.lookup
     for (k, u), edges in edges_at.items():
-        if u >= 1 and any(x != 0 for x in table.error_vector(k, u)):
-            raise ConstructionError(f"nonzero error vector at ({k},{u})", k, u)
-        for A, coord_edges in zip(k_subsets(table.n, k), edges):
+        sets = table.ranks[k]
+        if u >= 1:
+            for A in sets:
+                up = sum(look(k + 1, u - 1, A | {b}) for b in range(1, n + 1) if b not in A)
+                if u * look(k, u, A) != up:
+                    raise ConstructionError(f"nonzero error vector at ({k},{u})", k, u)
+        for A, coord_edges in zip(sets, edges):
             for e in coord_edges:
                 if table.delta_coordinate(e, k, u, A) != 0:
-                    raise ConstructionError(f"nonzero defect for {e} at ({k},{u},{A})", k, u)
+                    raise ConstructionError(f"nonzero defect for {e} at ({k},{u},{tuple(sorted(A))})", k, u)
 
 
 def _check_extension_precondition(g: CutFunction, edge, z: int):
@@ -589,10 +636,12 @@ class InvariantFamily:
 def build_invariant_family(graph: InputGraph, z: int, seed: int = 0) -> tuple:
     """Full pipeline: base function plus one extension per graph edge."""
     g, table, diag = build_base_function(graph, z, seed)
-    fam = InvariantFamily(
-        graph, z, {e: extend_invariant(g, e, z) for e in graph.edges}, base=g
-    )
-    return fam, table, diag
+    functions, shared = {}, {}
+    for e in graph.edges:
+        ge = functions[e] = extend_invariant(g, e, z)
+        # the extensions of edges with one anchor vertex share their level-z sets
+        ge._coeffs = {shared.setdefault(V, V) if len(V) == z else V: c for V, c in ge.coeffs.items()}
+    return InvariantFamily(graph, z, functions, base=g), table, diag
 
 
 @dataclass
@@ -643,17 +692,27 @@ def lower_bound_certificate(graph: InputGraph, family: InvariantFamily, e0=None)
         raise ValueError(f"e0 {e0!r} is not a graph edge")
     if len(edges) < 2:
         raise ZeroDivisionError("family needs at least two edges")
-    g0 = family.functions[e0]
-    best, best_edge = Fraction(0), None
+    # the bound sum is a quadratic form, so it runs on integer numerators over
+    # one family denominator and the maximum divides by its square once
+    den = common_denominator(c for g in family.functions.values() for c in g.coeffs.values())
+
+    def numerators(g):
+        return {V: c.numerator * (den // c.denominator) for V, c in g.coeffs.items()}
+
+    base = numerators(family.functions[e0])
+    best, best_edge = 0, None
     for e in edges:
         if e == e0:
             continue
-        diff = family.functions[e] - g0
-        val = permutation_bound_sum(diff, family.z)
+        diff = numerators(family.functions[e])
+        for V, c in base.items():
+            diff[V] = diff.get(V, 0) - c
+        val = permutation_bound_sum(CutFunction(family.graph.n, coeffs=diff), family.z)
         if val > best:
             best, best_edge = val, e
     if best == 0:
         raise ZeroDivisionError("degenerate family: every difference vanishes")
+    best /= den * den
     value = (2 / (len(edges) - 1)) / math.sqrt(float(best))
     return CertificateReport(
         value=value,

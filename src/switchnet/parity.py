@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations, product, starmap
+from itertools import combinations, islice, permutations, product, starmap
 from operator import and_
 
 from .cuts import (
@@ -364,7 +364,7 @@ class ChainLollipopResult:
 
 
 class _Orderings:
-    """Orderings of 1..n as one bytes string of n-entry rows.  An entry is
+    """Orderings of 1..n as one bytearray of n-entry rows.  An entry is
     little-endian and as wide as the first of the struct codes B, H, I, Q
     that holds n below its top bit (one byte up to n = 127); indexing
     decodes a row to a tuple of ints."""
@@ -374,7 +374,11 @@ class _Orderings:
         self.code = next(c for c in "BHIQ" if n < 1 << 8 * struct.calcsize(c) - 1)
         self.width = struct.calcsize(self.code)
         self.row = struct.Struct(f"<{n}{self.code}")
-        self.flat = b"".join(starmap(self.row.pack, rows))
+        # packed 1 024 rows at a time, so that no more than that many row
+        # objects are alive at once
+        rows, self.flat = iter(rows), bytearray()
+        while chunk := b"".join(starmap(self.row.pack, islice(rows, 1024))):
+            self.flat += chunk
 
     def __len__(self):
         return len(self.flat) // self.row.size

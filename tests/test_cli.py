@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from switchnet import lowerbound, parity
-from switchnet.cli import main
+from switchnet.cli import build_parser, main
 from switchnet.graphs import InputGraph, chain_with_lollipops
 from switchnet.parity import build_chain_lollipop
 
@@ -207,6 +208,23 @@ class TestCertifyLower:
         assert json.loads(capsys.readouterr().out)["size"] > 0
 
 
+class TestBuildBase:
+    def test_bench_table_is_pinned(self, tmp_path, capsys):
+        # the benchmark's z=4 base table: layered_dag(3, 3, 6, 14) with its
+        # middle vertices relabelled by the seed-0 shuffle; the digest was
+        # recorded from the Fraction build that the numerator build replaced
+        image = list(range(1, 15))
+        random.Random(0).shuffle(image)
+        f = dict(zip(range(1, 15), image)).get
+        graph = InputGraph(14, {(f(u, u), f(v, v)) for u, v in layered_dag(3, 3, 6, 14).edges})
+        gpath, out = tmp_path / "g.json", tmp_path / "table.json"
+        gpath.write_text(json.dumps(graph.to_json()))
+        assert run(["build-base", "--graph", gpath, "--z", 4, "--out", out, "--seed", 0]) == 0
+        assert len(json.loads(capsys.readouterr().out)["base_function"]["coeffs"]) == 470
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "ff40116bd44954c108aa398b5fc1973cb5820ee9cca45cc2b9f38591844b79ee")
+
+
 class TestPebbleCommand:
     def test_min(self, tmp_path, capsys):
         graph = InputGraph(2, {("s", 1), (1, 2), (2, "t")})
@@ -262,6 +280,19 @@ class TestFormulas:
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["master_bound"] >= report["regime1_bound"]
+
+
+def test_parser_is_built_once(chain_files, capsys):
+    # one parser serves every call; no call's values or errors reach the next
+    gpath, _ = chain_files
+    assert build_parser() is build_parser()
+    assert run(["certify-lower", "--graph", gpath]) == 2
+    assert run(["pebble", "--graph", gpath, "--savitch", "auto", "--seed", 5]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert run(["pebble", "--graph", gpath, "--savitch", "auto", "--bogus"]) == 2
+    assert run(["pebble", "--graph", gpath]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 0 and "min_pebbles" in report
 
 
 class TestWorkers:

@@ -5,15 +5,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from switchnet.cuts import CutFunction, _nondegenerate, common_denominator, is_edge_invariant
 from switchnet.graphs import InputGraph, chain_with_lollipops
+from switchnet import lowerbound
 from switchnet.lowerbound import (
     REPRESENTATIVE_TOP,
+    BuildDiagnostics,
     ConstructionError,
     InvariantFamily,
+    LevelDiagnostics,
     SumVectorTable,
     build_base_function,
     build_invariant_family,
@@ -36,9 +39,9 @@ from switchnet.lowerbound import (
 )
 from switchnet.parity import build_chain_lollipop
 from switchnet.subsets import k_subsets
-from switchnet.sums import s_single, sum_of_squares
+from switchnet.sums import permutation_bound_sum, s_single, sum_of_squares
 
-from conftest import pointwise_product, random_graph, random_sparse_function, rationals
+from conftest import layered_dag, pointwise_product, random_graph, random_sparse_function, rationals
 
 SHORT_CHAIN = InputGraph(2, {("s", 1), (1, 2), (2, "t")})
 LONG_CHAIN = InputGraph(6, {("s", 1), (1, 2), (2, 3), (3, 4), (4, "t")})
@@ -721,3 +724,148 @@ class TestClosedForm:
         assert flags["acyclic"] and flags["has_st_path"] and flags["no_short_st_path"]
         assert flags["linkage_m"] == 2
         assert not flags["m_small_enough"]
+
+
+def relabelled(graph, rng):
+    image = list(range(1, graph.n + 1))
+    rng.shuffle(image)
+    f = dict(zip(range(1, graph.n + 1), image)).get
+    return InputGraph(graph.n, {(f(u, u), f(v, v)) for u, v in graph.edges})
+
+
+@st.composite
+def guarded_layered_dags(draw):
+    """(graph, z) with z <= 3 for a relabelled layered_dag on n <= 10 whose
+    shortest s->t path is longer than 2**(z-1)."""
+    z = draw(st.integers(1, 3))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    tail = draw(st.integers(max(0, 2 ** (z - 1) - 2), 10 - a - b))
+    n = draw(st.integers(a + b + tail, 10))
+    return relabelled(layered_dag(a, b, tail, n), random.Random(draw(st.integers(0, 10**6)))), z
+
+
+def diagnostics_from_table(graph, z, table):
+    """The build's diagnostics recomputed in Fractions from its returned
+    table's norms and values (test oracle)."""
+    n, hyp = graph.n, low_connectivity_hypotheses(graph, z)
+    m = hyp["linkage_m"]
+    diag = BuildDiagnostics(seed=0, n=n, z=z, linkage_m=m, linkage_depth=2 ** (z - 2) if z >= 2 else 0,
+                            m_hypothesis_ok=hyp["m_small_enough"])
+    full = {}
+    for level in range(z):
+        for k in range(level + 1):
+            u = level - k
+            for A in k_subsets(n, k):
+                diag.multi_equation_checks += max(0, len(relevant_edges(graph, z, k, u, A)) - 1)
+            full[(k, u)], fixed, free = table.norms(k, u)
+            # each free row of the level below moves the fixed supersets' sum
+            # to its right side
+            adj_sq = Fraction(0)
+            if k >= 1:
+                fixed_sets = {frozenset(A) for A, tag in zip(k_subsets(n, k), table.tags[(k, u)]) if tag == "fixed"}
+                for V, tag in zip(k_subsets(n, k - 1), table.tags[(k - 1, u + 1)]):
+                    ups = [frozenset(V) | {b} for b in range(1, n + 1) if b not in V]
+                    adj = sum((table.lookup(k, u, S) for S in ups if S in fixed_sets), start=Fraction(0))
+                    adj_sq += adj * adj if tag == "free" else 0
+
+            def at(kk, uu):
+                return full.get((kk, uu), Fraction(0))
+
+            target = Fraction(9 * m * n) ** (k + u) / 4
+            rec = (2 * at(k, u - 1) + 6 * at(k, u - 2) + (4 * m + 6 * k * m) * at(k - 1, u)
+                   + 6 * k * m * at(k - 1, u - 1) + 3 * n * m * at(k - 2, u))
+            diag.levels[(k, u)] = LevelDiagnostics(
+                fixed_norm_sq=fixed, free_norm_sq=free, target_bound_sq=target,
+                fixed_within_target=fixed * fixed <= target if k + u else True,
+                free_within_target=free * free <= target if k + u else True,
+                equation_rhs_bound=rec, fixed_within_recurrence=fixed <= rec if k >= 1 else True,
+                adjustment_norm_sq=adj_sq, adjustment_bound=m * (k + 1) * k * fixed,
+                adjustment_within_bound=adj_sq <= m * (k + 1) * k * fixed if k >= 1 else True,
+            )
+    return diag
+
+
+def check_numerator_build(graph, z):
+    try:
+        g, table, diag = build_base_function(graph, z)
+    except ConstructionError:
+        assume(False)
+    oracle = table_from_function(g, z - 1, graph, z)
+    assert (table.n, table.max_level, table.z, table.den) == (oracle.n, oracle.max_level, oracle.z, 1)
+    assert table.vectors == oracle.vectors and table.tags == oracle.tags
+    assert all(type(x) is Fraction for vec in table.vectors.values() for x in vec)
+    recomputed = diagnostics_from_table(graph, z, table)
+    assert diag == recomputed
+    assert diag.to_json() == recomputed.to_json()
+
+
+class TestNumeratorBuild:
+    """The table is built on integer numerators; what it returns must equal
+    the definitional Fraction table and the Fraction diagnostics."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(guarded_layered_dags())
+    def test_matches_fraction_oracles(self, case):
+        check_numerator_build(*case)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 6, 10), (3, 3, 6, 14)])
+    def test_matches_fraction_oracles_at_z4(self, dims):
+        check_numerator_build(relabelled(layered_dag(*dims), random.Random(0)), 4)
+
+    def test_sweep_catches_a_perturbed_solution(self, monkeypatch):
+        graph = relabelled(layered_dag(2, 2, 2, 9), random.Random(1))
+        solve, calls = lowerbound.min_norm_solve, []
+        monkeypatch.setattr(lowerbound, "min_norm_solve", lambda *a: calls.append(1) or solve(*a))
+        build_base_function(graph, 3)
+        last = len(calls)
+        assert last >= 1
+
+        def perturbed(*args):
+            calls.append(1)
+            sol = solve(*args)
+            if len(calls) == 2 * last:  # the last solve: no later level reads it
+                sol[0] += Fraction(1, 7)
+            return sol
+
+        monkeypatch.setattr(lowerbound, "min_norm_solve", perturbed)
+        with pytest.raises(ConstructionError, match="nonzero error vector"):
+            build_base_function(graph, 3)
+
+
+def fraction_certificate(family, e0):
+    """(max_sum, argmax_edge) from Fraction differences g_e - g_e0 (test oracle)."""
+    g0 = family.functions[e0]
+    best, arg = Fraction(0), None
+    for e in family.graph.sorted_edges():
+        if e != e0:
+            val = permutation_bound_sum(family.functions[e] - g0, family.z)
+            if val > best:
+                best, arg = val, e
+    return best, arg
+
+
+class TestIntegerDifferences:
+    @pytest.mark.parametrize("graph,z", [
+        (LONG_CHAIN, 2),
+        (LONG_CHAIN, 3),
+        (chain_with_lollipops(6, 1), 1),
+        (layered_dag(2, 2, 2, 9), 3),
+        (relabelled(chain_with_lollipops(15, 1), random.Random(0)), 1),
+        (relabelled(layered_dag(3, 3, 2, 22), random.Random(0)), 3),
+    ], ids=["chain6z2", "chain6z3", "lollipops6", "layered9z3", "bench_dense", "bench_deep"])
+    def test_matches_fraction_loop(self, graph, z):
+        family, _, _ = build_invariant_family(graph, z)
+        for e0 in [default_e0(graph), *graph.sorted_edges()[:2]]:
+            report = lower_bound_certificate(graph, family, e0=e0)
+            assert type(report.max_sum) is Fraction
+            assert (report.max_sum, report.argmax_edge) == fraction_certificate(family, e0)
+
+    def test_family_shares_level_z_sets_per_anchor(self):
+        graph = layered_dag(2, 2, 2, 9)
+        family, _, _ = build_invariant_family(graph, 3)
+        seen = {}
+        for e, g in family.functions.items():
+            assert g == extend_invariant(family.base, e, 3)
+            for V in g.coeffs:
+                if len(V) == 3:
+                    assert seen.setdefault(V, V) is V

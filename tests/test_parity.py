@@ -3,7 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations, repeat, starmap
 
 import pytest
 from hypothesis import given, settings
@@ -469,6 +469,21 @@ def test_order_masks_widen_with_n(rng, n, width):
     assert parity._Orderings(n, orderings).width == width
     for uncovered in (0, (1 << len(placements)) - 1, rng.getrandbits(len(placements))):
         check_order_masks(n, 2, placements, orderings, uncovered)
+
+
+@pytest.mark.parametrize("n,count", [(4, None), (8, None), (128, 1024), (128, 2500)])
+def test_orderings_pack_like_one_join(n, count):
+    # exhaustive rows at n = 4 and 8 (40 320 rows, not a whole number of
+    # 1 024-row chunks); sampled two-byte rows at n = 128, drawn as the
+    # chain builder draws them
+    if count is None:
+        orderings = list(permutations(range(1, n + 1)))
+    else:
+        rng = random.Random(n + count)
+        orderings = [rng.sample(range(1, n + 1), n) for _ in range(count)]
+    rows = parity._Orderings(n, iter(orderings))
+    assert rows.flat == b"".join(starmap(rows.row.pack, orderings))
+    assert len(rows) == len(orderings) and list(rows[len(rows) - 1]) == list(orderings[-1])
 
 
 class TestGreedyPick:
