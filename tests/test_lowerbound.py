@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from switchnet import lowerbound
 from switchnet.cuts import CutFunction, _nondegenerate, common_denominator, is_edge_invariant
 from switchnet.graphs import InputGraph, chain_with_lollipops
-from switchnet import lowerbound
 from switchnet.lowerbound import (
     REPRESENTATIVE_TOP,
     BuildDiagnostics,
