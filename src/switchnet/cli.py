@@ -197,7 +197,7 @@ def _build_upper(args, graph, core, emptied):
             payload["complete"] = net.is_complete_for(family)
             payload["family_size"] = len(family)
     if emptied is not None:
-        json.dump(net.to_json(), emptied(), indent=2)
+        net.write_json(emptied())
         payload["network_file"] = args.out
     report = _report(payload, seed=args.seed)
     _emit(report)

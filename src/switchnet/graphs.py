@@ -35,11 +35,11 @@ def trace(links, end):
 
 
 def _valid_vertex(v, n):
-    return v in ("s", "t") or (isinstance(v, int) and 1 <= v <= n)
+    return v in ("s", "t") or (isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= n)
 
 
 def _require_count(n):
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"vertex count {n!r} is not an int >= 0")
 
 
@@ -209,4 +209,16 @@ def chain_with_lollipops(n: int, k: int) -> InputGraph:
     edges = {("s", 1), (k, "t")}
     edges |= {(i, i + 1) for i in range(1, k)}
     edges |= {("s", v) for v in range(k + 1, n + 1)}
+    return InputGraph(n, edges)
+
+
+def layered_dag(a, b, tail_len, n):
+    """s feeds a complete bipartite layer A x B, then a chain from the first
+    B vertex into t, so the shortest s->t distance is 3 + tail_len; vertices
+    past the chain are isolated padding."""
+    A = range(1, a + 1)
+    B = range(a + 1, a + b + 1)
+    edges = {("s", x) for x in A} | {(x, y) for x in A for y in B}
+    path = [B[0], *range(a + b + 1, a + b + 1 + tail_len), "t"]
+    edges |= set(zip(path, path[1:]))
     return InputGraph(n, edges)

@@ -28,7 +28,7 @@ from .cuts import (
     parity_mask,
 )
 from .graphs import InputGraph
-from .networks import SwitchingNetwork, undirected_edges
+from .networks import SwitchingNetwork
 from .pebbles import can_win_through, is_winning, network_from_states, winning_play
 
 ONE = "ONE"  # canonical form of the constant +1 function
@@ -204,20 +204,29 @@ def _lollipop_toggles(code, vertices):
     return steps
 
 
-def _coded_steps(codes, n: int, toggles):
-    """Every legal step from the factor codes `codes` (a tuple) over vertices
-    1..n, as (label, rest, new): the step's target is _adjoin(rest, new).  Per
-    factor, each (label, new) in toggles[factor] replaces the factor by new,
-    then, when the factor is e_{v}, each implication v->w adjoins e_{w}."""
+def _implications(code, n: int):
+    """The implication steps on one factor code over vertices 1..n, as (label,
+    new code): when the factor is e_{v}, each v->w adjoins e_{w}; any other
+    factor has none."""
+    if code <= 1 or code & (code - 1):
+        return []
+    v = code.bit_length() - 2
+    return [((v, w), 2 << w) for w in range(1, n + 1) if w != v]
+
+
+def _coded_steps(codes, toggles, implications):
+    """Every legal step from the factor codes `codes` (a tuple), as (label,
+    rest, new): the step's target is _adjoin(rest, new).  Per factor, each
+    (label, new) in toggles[factor] replaces the factor by new, then each
+    (label, new) in implications[factor] adjoins new to all the factors."""
     for fi, c in enumerate(codes):
         rest = _canon(codes[:fi] + codes[fi + 1 :])
         for label, new in toggles[c]:
             yield label, rest, new
-        if c > 1 and c & (c - 1) == 0:
-            v, node = c.bit_length() - 2, _canon(codes)
-            for w in range(1, n + 1):
-                if w != v:
-                    yield (v, w), node, 2 << w
+        if implications[c]:
+            node = _canon(codes)
+            for label, new in implications[c]:
+                yield label, node, new
 
 
 def legal_steps(chars, n: int):
@@ -226,7 +235,8 @@ def legal_steps(chars, n: int):
     each vertex in turn, then, when the factor is e_{v}, each implication v->w."""
     codes = tuple(map(_code, chars))
     toggles = {c: _lollipop_toggles(c, range(1, n + 1)) for c in codes}
-    for label, rest, new in _coded_steps(codes, n, toggles):
+    implications = {c: _implications(c, n) for c in codes}
+    for label, rest, new in _coded_steps(codes, toggles, implications):
         yield label, _chars(_adjoin(rest, new))
 
 
@@ -702,32 +712,53 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
                 if node is not ONE:
                     h.add(node)
 
-    # node ids follow the sorted tuple forms; id_of is the same map on codes
+    # node ids follow the sorted tuple forms, at positions 2.. of vertices
     s_id, t_id = "s'", "t'"
     node_of = {(): s_id, ONE: t_id}
     functions = {s_id: (), t_id: ONE}
-    id_of = {frozenset(): s_id, ONE: t_id}
     coded = {_chars(node): node for node in h if node}
+    position = {frozenset(): 0, ONE: 1}
     for idx, chars in enumerate(sorted(coded)):
         node_of[chars] = idx
         functions[idx] = chars
-        id_of[coded[chars]] = idx
+        position[coded[chars]] = idx + 2
+    vertices = [s_id, t_id] + list(range(len(coded)))
 
     # A toggle replaces a factor of a node by `new`, so its target is t' or a
     # node only when new, or its complement, occurs in some node or is constant.
+    labels = sorted([l for u in range(1, n + 1) for l in (("s", u), (u, "t"))]
+                    + [(v, w) for v in range(1, n + 1) for w in range(1, n + 1) if v != w], key=repr)
+    label_index = {label: j for j, label in enumerate(labels)}
     occurring = {c ^ f for node in h for c in node for f in (0, 1)} | {0, 1}
-    toggles = {c: [step for step in _lollipop_toggles(c, range(1, n + 1)) if step[1] in occurring]
-               for c in occurring}
-    edges = set()
-    for node in h:
-        a = id_of[node]
-        for label, rest, new in _coded_steps(tuple(node), n, toggles):
-            b = id_of.get(_adjoin(rest, new))
-            if b is not None:
-                edges.add((a, b, label))
+    toggles = {c: [(label_index[label], new) for label, new in _lollipop_toggles(c, range(1, n + 1))
+                   if new in occurring] for c in occurring}
+    implications = {c: [(label_index[label], new) for label, new in _implications(c, n)] for c in occurring}
 
-    vertices = [s_id, t_id] + [i for i in range(len(h) - 1)]
-    network = SwitchingNetwork(n, vertices, s_id, t_id, undirected_edges(sorted(edges, key=str)))
+    # Each undirected edge is kept once, in the str order of its (u, v, label)
+    # triple, and in the first of its two orientations in that order.  As ","
+    # sorts below every digit, that is the order of the int keys (rank u,
+    # rank v, label index) over the ranks of the node reprs; labels are
+    # already sorted by repr.
+    nodes = sorted(position, key=lambda node: repr(vertices[position[node]]))
+    rank = {node: r for r, node in enumerate(nodes)}
+    R, L = len(nodes).bit_length(), len(labels).bit_length()
+    keys = {}
+    for node in h:
+        a = rank[node]
+        for j, rest, new in _coded_steps(tuple(node), toggles, implications):
+            b = rank.get(_adjoin(rest, new))
+            if b is None or b == a:
+                continue
+            key = (a << R | b) << L | j
+            if a < b:
+                keys[key] = key
+            else:
+                keys.setdefault((b << R | a) << L | j, key)
+    keys = sorted(keys.values())
+    at = [position[node] for node in nodes]
+    network = SwitchingNetwork.from_columns(
+        n, vertices, s_id, t_id, [at[k >> L + R] for k in keys],
+        [at[k >> L & (1 << R) - 1] for k in keys], labels, [k & (1 << L) - 1 for k in keys])
 
     x = len(partitions)
     r = max(len(states), 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from switchnet.cuts import CutFunction, random_sparse_function  # noqa: F401  (tests import it from here)
-from switchnet.graphs import InputGraph
+from switchnet.graphs import InputGraph, layered_dag  # noqa: F401  (tests import it from here)
 
 
 def pointwise_product(f, g):
@@ -39,22 +39,6 @@ def small_graphs(draw):
     p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
     acyclic = draw(st.booleans())
     return random_graph(n, random.Random(draw(st.integers(0, 10**6))), acyclic=acyclic, p=p)
-
-
-def layered_dag(a, b, tail_len, n):
-    """s feeds a complete bipartite layer A x B, then a chain from the first
-    B vertex into t, so the shortest s->t distance is 3 + tail_len; vertices
-    past the chain are isolated padding."""
-    A = list(range(1, a + 1))
-    B = list(range(a + 1, a + b + 1))
-    chain = list(range(a + b + 1, a + b + 1 + tail_len))
-    edges = {("s", x) for x in A} | {(x, y) for x in A for y in B}
-    prev = B[0]
-    for c in chain:
-        edges.add((prev, c))
-        prev = c
-    edges.add((prev, "t"))
-    return InputGraph(n, edges)
 
 
 @st.composite

@@ -20,7 +20,7 @@ from switchnet.cuts import (
     full_cut_mask,
     invariant_by_values,
 )
-from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops
+from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops, layered_dag
 from switchnet.lowerbound import (
     InvariantFamily,
     build_base_function,
@@ -56,21 +56,6 @@ from conftest import random_sparse_function
 def report(index, label, ok):
     print(f"ACCEPTANCE {index:>2}: {'PASS' if ok else 'FAIL'} - {label}")
     assert ok, f"criterion {index} failed: {label}"
-
-
-def layered_dag(a, b, tail_len, n):
-    """s feeds a complete bipartite layer, then a chain into t; shortest
-    s->t distance is 3 + tail_len."""
-    A = list(range(1, a + 1))
-    B = list(range(a + 1, a + b + 1))
-    chain = list(range(a + b + 1, a + b + 1 + tail_len))
-    edges = {("s", x) for x in A} | {(x, y) for x in A for y in B}
-    prev = B[0]
-    for c in chain:
-        edges.add((prev, c))
-        prev = c
-    edges.add((prev, "t"))
-    return InputGraph(n, edges)
 
 
 def test_criterion_01_fourier_exactness():

@@ -330,9 +330,24 @@ class TestMalformedInput:
         ("pebble", "--graph", json.dumps({"n": "x", "edges": []})),
         ("pebble", "--graph", json.dumps({"n": -1, "edges": []})),
         ("verify-network", "--net", json.dumps({**NET, "n": -1, "edges": []})),
+        ("verify-network", "--net", json.dumps({**NET, "edges": [{"u": "a", "v": "c", "label": ["s", 1]}]})),
+        ("verify-network", "--net", json.dumps({**NET, "edges": [{"u": "a", "v": "b", "label": ["s", 1, 2]}]})),
+        ("verify-network", "--net", json.dumps({**NET, "edges": [{"u": "a", "v": "b", "label": [1, 1]}]})),
+        ("verify-network", "--net", json.dumps({**NET, "vertices": ["a", "b", ["c"]]})),
+        ("verify-network", "--net", json.dumps({**NET, "vertices": ["a", "b", "b"]})),
+        ("verify-network", "--net", json.dumps({**NET, "n": True})),
+        ("verify-network", "--net", json.dumps({**NET, "edges": [{"u": "a", "v": "b", "label": ["s", 1],
+                                                                  "negated": "no"}]})),
+        ("verify-network", "--net", json.dumps({**NET, "edges": [{"u": "a", "v": "b", "label": ["s", 1]},
+                                                                 {"u": "a", "v": "b", "label": ["s", True]}]})),
+        ("pebble", "--graph", json.dumps({"n": True, "edges": []})),
+        ("pebble", "--graph", json.dumps({"n": 2, "edges": [["s", True]]})),
     ], ids=["graph-missing-key", "graph-truncated", "graph-vertex-out-of-range",
             "net-missing-key", "net-truncated", "net-label-out-of-range",
-            "graph-n-not-int", "graph-n-negative", "net-n-negative"])
+            "graph-n-not-int", "graph-n-negative", "net-n-negative",
+            "net-endpoint-outside", "net-label-three-vertices", "net-label-loop", "net-list-id",
+            "net-repeated-vertex", "net-n-bool", "net-negated-not-bool", "net-label-vertex-bool",
+            "graph-n-bool", "graph-vertex-bool"])
     def test_exits_two(self, tmp_path, capsys, command, flag, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

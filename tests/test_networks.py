@@ -1,3 +1,4 @@
+import io
 import json
 from collections import deque
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from switchnet.cuts import CutFunction, edge_crosses, iter_cuts, maximal_no_instance
 from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops
 from switchnet.networks import NetEdge, SwitchingNetwork, undirected_edges
-from switchnet.parity import build_chain_lollipop
+from switchnet.parity import build_chain_lollipop, build_general_network
 
 SINGLE_EDGE = SwitchingNetwork(
     2, ["s'", "t'"], "s'", "t'", [NetEdge("s'", "t'", ("s", 1))]
@@ -181,13 +182,45 @@ class TestSerialization:
         with pytest.raises(ValueError):
             SwitchingNetwork(2, ["a", "b"], "a", "b", [NetEdge("a", "b", (1, 1))])
 
+    @pytest.mark.parametrize("edges", [
+        # a label equal to an earlier valid one is still checked: True == 1, 1.0 == 1
+        [NetEdge("a", "b", (1, 2)), NetEdge("a", "b", (True, 2))],
+        [NetEdge("a", "b", (1, 2)), NetEdge("b", "a", (1.0, 2))],
+        [NetEdge("a", "b", ("s", 1, 2))],
+        [NetEdge("a", "b", ("s", 1), negated="no")],
+        [NetEdge("a", "b", ("s", 1), negated=1)],
+        [NetEdge("a", "c", ("s", 1))],
+    ], ids=["bool-vertex", "float-vertex", "three-vertices", "negated-str", "negated-int", "endpoint"])
+    def test_edge_validation(self, edges):
+        with pytest.raises(ValueError):
+            SwitchingNetwork(2, ["a", "b"], "a", "b", edges)
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            SwitchingNetwork(1, ["a", "b", "b", "b"], "a", "b", [])
+
+    def test_bool_count_rejected(self):
+        with pytest.raises(ValueError):
+            SwitchingNetwork(True, ["a", "b"], "a", "b", [])
+
+    def test_from_columns_checks_ranges(self):
+        args = (2, ["a", "b"], "a", "b")
+        net = SwitchingNetwork.from_columns(*args, [0], [1], [("s", 1)], [0])
+        assert net.edges == [NetEdge("a", "b", ("s", 1))]
+        for us, vs, column in (([2], [1], [0]), ([0], [-1], [0]), ([0], [1], [1])):
+            with pytest.raises(ValueError):
+                SwitchingNetwork.from_columns(*args, us, vs, [("s", 1)], column)
+
+
+SCALAR_IDS = st.one_of(st.integers(-50, 50), st.text(max_size=3))
+
 
 @st.composite
-def networks(draw):
-    """Small networks with int and string vertex ids and some negated edges."""
+def networks(draw, ids=SCALAR_IDS):
+    """Small networks with the given vertex ids (by default ints and strings)
+    and some negated edges."""
     n = draw(st.integers(1, 6))
-    vertices = draw(st.lists(st.one_of(st.integers(-50, 50), st.text(max_size=3)),
-                             min_size=2, max_size=8, unique=True))
+    vertices = draw(st.lists(ids, min_size=2, max_size=8, unique=True))
     tails, heads = ["s", *range(1, n + 1)], [*range(1, n + 1), "t"]
     labels = st.tuples(st.sampled_from(tails), st.sampled_from(heads)).filter(lambda e: e[0] != e[1])
     edges = draw(st.lists(st.builds(NetEdge, st.sampled_from(vertices), st.sampled_from(vertices),
@@ -201,6 +234,40 @@ def test_json_roundtrip_property(net):
     back = SwitchingNetwork.from_json(json.loads(json.dumps(net.to_json())))
     assert (back.n, back.vertices, back.s_node, back.t_node, back.edges) == (
         net.n, net.vertices, net.s_node, net.t_node, net.edges)
+
+
+# scalar ids of every JSON type, and tuples, which JSON writes as nested lists
+JSON_IDS = st.one_of(SCALAR_IDS, st.none(), st.booleans(), st.floats(allow_nan=False),
+                     st.tuples(st.integers(-3, 3), st.text(max_size=2)),
+                     st.tuples(st.tuples(st.integers(0, 2)), st.none()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks(ids=JSON_IDS))
+def test_write_json_matches_json_dump(net):
+    expected, written = io.StringIO(), io.StringIO()
+    json.dump(net.to_json(), expected, indent=2)
+    net.write_json(written)
+    assert written.getvalue() == expected.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks())
+def test_write_json_roundtrip(net):
+    written = io.StringIO()
+    net.write_json(written)
+    back = SwitchingNetwork.from_json(json.loads(written.getvalue()))
+    assert (back.n, back.vertices, back.s_node, back.t_node, back.edges) == (
+        net.n, net.vertices, net.s_node, net.t_node, net.edges)
+
+
+def test_write_json_matches_json_dump_on_builds():
+    for net in (build_chain_lollipop(6, 2, seed=3).network,
+                build_general_network(chain_with_lollipops(6, 2), [1, 2], z=2, seed=0).network):
+        expected, written = io.StringIO(), io.StringIO()
+        json.dump(net.to_json(), expected, indent=2)
+        net.write_json(written)
+        assert written.getvalue() == expected.getvalue()
 
 
 def _loop_accepting_path(network, graph):
