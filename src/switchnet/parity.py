@@ -724,11 +724,12 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
         position[coded[chars]] = idx + 2
     vertices = [s_id, t_id] + list(range(len(coded)))
 
-    # A toggle replaces a factor of a node by `new`, so its target is t' or a
-    # node only when new, or its complement, occurs in some node or is constant.
-    labels = sorted([l for u in range(1, n + 1) for l in (("s", u), (u, "t"))]
+    # every label a step can carry, sorted by repr for the edge order below
+    labels = sorted([label for u in range(1, n + 1) for label in (("s", u), (u, "t"))]
                     + [(v, w) for v in range(1, n + 1) for w in range(1, n + 1) if v != w], key=repr)
     label_index = {label: j for j, label in enumerate(labels)}
+    # A toggle replaces a factor of a node by `new`, so its target is t' or a
+    # node only when new, or its complement, occurs in some node or is constant.
     occurring = {c ^ f for node in h for c in node for f in (0, 1)} | {0, 1}
     toggles = {c: [(label_index[label], new) for label, new in _lollipop_toggles(c, range(1, n + 1))
                    if new in occurring] for c in occurring}
@@ -737,8 +738,7 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
     # Each undirected edge is kept once, in the str order of its (u, v, label)
     # triple, and in the first of its two orientations in that order.  As ","
     # sorts below every digit, that is the order of the int keys (rank u,
-    # rank v, label index) over the ranks of the node reprs; labels are
-    # already sorted by repr.
+    # rank v, label index) over the ranks of the node reprs.
     nodes = sorted(position, key=lambda node: repr(vertices[position[node]]))
     rank = {node: r for r, node in enumerate(nodes)}
     R, L = len(nodes).bit_length(), len(labels).bit_length()
@@ -755,10 +755,10 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
             else:
                 keys.setdefault((b << R | a) << L | j, key)
     keys = sorted(keys.values())
-    at = [position[node] for node in nodes]
+    by_rank = [position[node] for node in nodes]
     network = SwitchingNetwork.from_columns(
-        n, vertices, s_id, t_id, [at[k >> L + R] for k in keys],
-        [at[k >> L & (1 << R) - 1] for k in keys], labels, [k & (1 << L) - 1 for k in keys])
+        n, vertices, s_id, t_id, [by_rank[k >> L + R] for k in keys],
+        [by_rank[k >> L & (1 << R) - 1] for k in keys], labels, [k & (1 << L) - 1 for k in keys])
 
     x = len(partitions)
     r = max(len(states), 1)
