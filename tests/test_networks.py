@@ -231,9 +231,12 @@ def networks(draw, ids=SCALAR_IDS):
 @settings(max_examples=100, deadline=None)
 @given(networks())
 def test_json_roundtrip_property(net):
-    back = SwitchingNetwork.from_json(json.loads(json.dumps(net.to_json())))
-    assert (back.n, back.vertices, back.s_node, back.t_node, back.edges) == (
-        net.n, net.vertices, net.s_node, net.t_node, net.edges)
+    written = io.StringIO()
+    net.write_json(written)
+    for text in (json.dumps(net.to_json()), written.getvalue()):
+        back = SwitchingNetwork.from_json(json.loads(text))
+        assert (back.n, back.vertices, back.s_node, back.t_node, back.edges) == (
+            net.n, net.vertices, net.s_node, net.t_node, net.edges)
 
 
 # scalar ids of every JSON type, and tuples, which JSON writes as nested lists
@@ -242,32 +245,22 @@ JSON_IDS = st.one_of(SCALAR_IDS, st.none(), st.booleans(), st.floats(allow_nan=F
                      st.tuples(st.tuples(st.integers(0, 2)), st.none()))
 
 
-@settings(max_examples=300, deadline=None)
-@given(networks(ids=JSON_IDS))
-def test_write_json_matches_json_dump(net):
+def _assert_writes_as_json_dump(net):
     expected, written = io.StringIO(), io.StringIO()
     json.dump(net.to_json(), expected, indent=2)
     net.write_json(written)
     assert written.getvalue() == expected.getvalue()
 
 
-@settings(max_examples=100, deadline=None)
-@given(networks())
-def test_write_json_roundtrip(net):
-    written = io.StringIO()
-    net.write_json(written)
-    back = SwitchingNetwork.from_json(json.loads(written.getvalue()))
-    assert (back.n, back.vertices, back.s_node, back.t_node, back.edges) == (
-        net.n, net.vertices, net.s_node, net.t_node, net.edges)
+@settings(max_examples=300, deadline=None)
+@given(networks(ids=JSON_IDS))
+def test_write_json_matches_json_dump(net):
+    _assert_writes_as_json_dump(net)
 
 
 def test_write_json_matches_json_dump_on_builds():
-    for net in (build_chain_lollipop(6, 2, seed=3).network,
-                build_general_network(chain_with_lollipops(6, 2), [1, 2], z=2, seed=0).network):
-        expected, written = io.StringIO(), io.StringIO()
-        json.dump(net.to_json(), expected, indent=2)
-        net.write_json(written)
-        assert written.getvalue() == expected.getvalue()
+    _assert_writes_as_json_dump(build_chain_lollipop(6, 2, seed=3).network)
+    _assert_writes_as_json_dump(build_general_network(chain_with_lollipops(6, 2), [1, 2], z=2, seed=0).network)
 
 
 def _loop_accepting_path(network, graph):
