@@ -28,7 +28,7 @@ DENSE_CAP = 16  # dense value arrays are 2**n long; refuse beyond this
 
 
 def _check_vertex(v, n):
-    if not isinstance(v, int) or not 1 <= v <= n:
+    if v in ("s", "t") or not _valid_vertex(v, n):
         raise ValueError(f"vertex id {v!r} outside 1..{n}")
 
 

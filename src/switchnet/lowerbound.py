@@ -1,7 +1,7 @@
 """Sum-vector tables, the base-function construction, invariant extensions,
 and the lower-bound evaluators.
 
-The pipeline: classify every coordinate (k, u, A) of the sum-vector table
+The pipeline: tag every coordinate (k, u, A) of the sum-vector table
 as fixed (some short-path edge imposes one of the three reduction
 equations on it) or free; build the table level by level in increasing
 (k+u, k) order, computing fixed coordinates from the equations and free
@@ -24,7 +24,6 @@ from itertools import combinations
 
 from .cuts import (
     CutFunction,
-    _nondegenerate,
     _require_nondegenerate,
     common_denominator,
     is_edge_invariant,
@@ -32,7 +31,7 @@ from .cuts import (
 )
 from .graphs import InputGraph
 from .spectral import min_norm_solve
-from .subsets import colex_rank, k_subsets
+from .subsets import k_subsets
 from .sums import permutation_bound_sum, s_single
 
 REPRESENTATIVE_TOP = "TOP"
@@ -57,11 +56,6 @@ def relevance_threshold(z: int, k: int, u: int) -> int:
     return 2**e if e >= 0 else 0
 
 
-def relevant(graph: InputGraph, z: int, k: int, u: int, A, edge) -> bool:
-    """True iff the non-degenerate edge is one of the coordinate's relevant edges."""
-    return _nondegenerate(edge, graph.n) and tuple(edge) in relevant_edges(graph, z, k, u, A)
-
-
 def relevant_edges(graph: InputGraph, z: int, k: int, u: int, A):
     """The pairs (tail, head) with tail in s + A and head in A + t, tail != head,
     not (s, t), joined by a directed path of length in 1..2**(z-k-u-1); tails
@@ -78,17 +72,13 @@ def relevant_edges(graph: InputGraph, z: int, k: int, u: int, A):
     return out
 
 
-def classify(graph: InputGraph, z: int, k: int, u: int, A) -> str:
-    """'fixed' when some relevant edge imposes an equation on the coordinate."""
-    return "fixed" if relevant_edges(graph, z, k, u, A) else "free"
-
-
 class SumVectorTable:
     """Vectors s(k, u) over colex-ranked k-subsets, for levels k+u <= max_level.
 
     Coordinates outside the stored levels read as zero, matching functions
     whose coefficients vanish at and above level max_level + 1.  Stored
-    values are numerators over `den`, which is 1 for a table of Fractions.
+    values are numerators over `den`: `build_base_function` fills its table
+    with integers over a growing `den` and hands it back as Fractions over 1.
     """
 
     den = 1
@@ -99,14 +89,27 @@ class SumVectorTable:
         self.vectors = vectors if vectors is not None else {}
         self.tags = tags if tags is not None else {}
         self.z = z
+        self._ranks = {}
+
+    def rank_map(self, k: int) -> dict:
+        """Each k-subset as a frozenset -> its colex index, in colex order;
+        built on first use."""
+        ranks = self._ranks.get(k)
+        if ranks is None:
+            ranks = self._ranks[k] = {frozenset(A): i for i, A in enumerate(k_subsets(self.n, k))}
+        return ranks
 
     def lookup(self, k: int, u: int, A):
-        if k < 0 or u < 0:
-            return Fraction(0)
+        """Stored value at (k, u, A), A any iterable of vertices; 0 off the
+        stored levels, negative k and u included."""
         vec = self.vectors.get((k, u))
-        if vec is None:
-            return Fraction(0)
-        return vec[colex_rank(A)]
+        return 0 if vec is None else vec[self.rank_map(k)[frozenset(A)]]
+
+    def rescale(self, d: int):
+        """Multiply every stored numerator and the denominator by d."""
+        for vec in self.vectors.values():
+            vec[:] = [x * d for x in vec]
+        self.den *= d
 
     def equation_value(self, edge, k: int, u: int, A):
         """Right side of the reduction equation the edge imposes at (k, u, A)."""
@@ -198,26 +201,6 @@ class SumVectorTable:
         return cls(obj["n"], obj["max_level"], vectors, tags, z=obj.get("z"))
 
 
-class _NumeratorTable(SumVectorTable):
-    """The table while `build_base_function` builds it: integer numerators
-    over `den`, read through per-k rank maps from frozensets, which list the
-    k-subsets in colex order."""
-
-    def __init__(self, n: int, max_level: int, z: int):
-        super().__init__(n, max_level, z=z)
-        self.ranks = {}
-
-    def lookup(self, k: int, u: int, A):
-        vec = self.vectors.get((k, u))
-        return 0 if vec is None else vec[self.ranks[k][A]]
-
-    def rescale(self, d: int):
-        """Multiply every stored numerator and the denominator by d."""
-        for vec in self.vectors.values():
-            vec[:] = [x * d for x in vec]
-        self.den *= d
-
-
 def table_from_function(g: CutFunction, max_level: int, graph=None, z=None) -> SumVectorTable:
     """Definitional sum-vector table of an actual function (test oracle)."""
     vectors = {}
@@ -228,21 +211,24 @@ def table_from_function(g: CutFunction, max_level: int, graph=None, z=None) -> S
     table = SumVectorTable(g.n, max_level, vectors, z=z)
     if graph is not None and z is not None:
         table.tags = {
-            (k, u): [classify(graph, z, k, u, A) for A in k_subsets(g.n, k)]
+            (k, u): ["fixed" if relevant_edges(graph, z, k, u, A) else "free" for A in k_subsets(g.n, k)]
             for (k, u) in vectors
         }
     return table
 
 
-def fixed_value(table: SumVectorTable, graph: InputGraph, z: int, k: int, u: int, A, edges):
-    """Value forced on a fixed coordinate, given its relevant edges; evaluates
+def fixed_value(table: SumVectorTable, edges_at: dict, k: int, u: int, A):
+    """Value forced on a fixed coordinate by its relevant edges; evaluates
     every applicable equation and insists they agree (the order-independence
-    property).
+    property).  `edges_at[(k, u)]` holds each coordinate's relevant-edge list
+    in the table's colex order.
 
     Also asserts the composability closure: when a->b and b->c are both
-    relevant here, a->c must be relevant at the reduced coordinate.
+    relevant here, a->c must be relevant at the reduced coordinate
+    (k-1, u, A-b).
     """
     A = frozenset(A)
+    edges = edges_at[(k, u)][table.rank_map(k)[A]]
     if not edges:
         raise ValueError(f"coordinate ({k},{u},{sorted(A)}) is free")
     for a, b in edges:
@@ -252,7 +238,7 @@ def fixed_value(table: SumVectorTable, graph: InputGraph, z: int, k: int, u: int
                     raise ConstructionError(
                         "relevant paths compose into a short s->t path; hypothesis violated", k, u
                     )
-                if not relevant(graph, z, k - 1, u, A - {b}, (a, d)):
+                if (a, d) not in edges_at[(k - 1, u)][table.rank_map(k - 1)[A - {b}]]:
                     raise ConstructionError(
                         f"closure violated: {(a, d)} not relevant at ({k-1},{u},{sorted(A - {b})})", k, u
                     )
@@ -346,23 +332,20 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
         m_hypothesis_ok=hypotheses["m_small_enough"],
     )
 
-    table = _NumeratorTable(n, z - 1, z)
+    table = SumVectorTable(n, z - 1, z=z)
     edges_at, full_sq = {}, {}
     for level in range(0, z):
         for k in range(0, level + 1):
             u = level - k
-            subsets = k_subsets(n, k)
-            if k not in table.ranks:
-                table.ranks[k] = {frozenset(A): i for i, A in enumerate(subsets)}
-            rank = table.ranks[k]
-            edges = edges_at[(k, u)] = [relevant_edges(graph, z, k, u, A) for A in subsets]
+            rank = table.rank_map(k)
+            edges = edges_at[(k, u)] = [relevant_edges(graph, z, k, u, A) for A in rank]
             tags = table.tags[(k, u)] = ["fixed" if e else "free" for e in edges]
             # stored now so that a rescale reaches it; no equation reads its own level
-            vec = table.vectors[(k, u)] = [0] * len(subsets)
+            vec = table.vectors[(k, u)] = [0] * len(rank)
 
-            for i, A in enumerate(subsets):
+            for i, A in enumerate(rank):
                 if edges[i]:
-                    vec[i], count = fixed_value(table, graph, z, k, u, A, edges[i])
+                    vec[i], count = fixed_value(table, edges_at, k, u, A)
                     if count >= 2:
                         diag.multi_equation_checks += count - 1
 
@@ -377,7 +360,7 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
                 free_rows = [j for j, t in enumerate(prev_tags) if t == "free"]
                 free_cols = [i for i, t in enumerate(tags) if t == "free"]
                 if free_rows:
-                    prev_sets = list(table.ranks[k - 1])
+                    prev_sets = list(table.rank_map(k - 1))
                     col_pos = {i: p for p, i in enumerate(free_cols)}
                     matrix, rhs = [], []
                     for j in free_rows:
@@ -450,25 +433,25 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
 
     _verify_completed_table(table, edges_at)
     den = table.den
-    out = SumVectorTable(
-        n, z - 1, {key: [Fraction(x, den) for x in vec] for key, vec in table.vectors.items()}, table.tags, z=z
-    )
+    for vec in table.vectors.values():
+        vec[:] = [Fraction(x, den) for x in vec]
+    table.den = 1
     coeffs = {}
     for k in range(0, z):
-        for A, c in zip(table.ranks[k], out.vectors[(k, 0)]):
+        for A, c in zip(table.rank_map(k), table.vectors[(k, 0)]):
             if c != 0:
                 coeffs[A] = c
-    return CutFunction(n, coeffs=coeffs), out, diag
+    return CutFunction(n, coeffs=coeffs), table, diag
 
 
-def _verify_completed_table(table: _NumeratorTable, edges_at: dict):
+def _verify_completed_table(table: SumVectorTable, edges_at: dict):
     """Exact sweep over the numerators, in build order over the stored
     relevant-edge lists: every error vector zero, as
     u s(k, u, A) = sum over b outside A of s(k+1, u-1, A + b), and every
     relevant defect zero."""
     n, look = table.n, table.lookup
     for (k, u), edges in edges_at.items():
-        sets = table.ranks[k]
+        sets = table.rank_map(k)
         if u >= 1:
             for A in sets:
                 up = sum(look(k + 1, u - 1, A | {b}) for b in range(1, n + 1) if b not in A)

@@ -280,7 +280,7 @@ class SwitchingNetwork:
                 continue
             label = (relabel_vertex(e.label[0]), relabel_vertex(e.label[1]))
             new_edges.append(NetEdge(find(e.u), find(e.v), label))
-        nodes = {find(v) for v in self.vertices}
+        nodes = list(dict.fromkeys(find(v) for v in self.vertices))
         return SwitchingNetwork(self.n - 1, nodes, find(self.s_node), find(self.t_node), new_edges)
 
     def to_json(self):

@@ -622,8 +622,7 @@ class GeneralNetworkResult:
     play: list  # pebble state sequence on the core, positions 1..k
     states: list  # interior position-sets
     partitions: list
-    functions: dict  # node id -> canonical char tuple (or ONE / () for t', s')
-    node_of: dict  # canonical char tuple -> node id
+    node_of: dict  # canonical char tuple (or () for s', ONE for t') -> node id
     h_bound: float
 
     @property
@@ -715,12 +714,10 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
     # node ids follow the sorted tuple forms, at positions 2.. of vertices
     s_id, t_id = "s'", "t'"
     node_of = {(): s_id, ONE: t_id}
-    functions = {s_id: (), t_id: ONE}
     coded = {_chars(node): node for node in h if node}
     position = {frozenset(): 0, ONE: 1}
     for idx, chars in enumerate(sorted(coded)):
         node_of[chars] = idx
-        functions[idx] = chars
         position[coded[chars]] = idx + 2
     vertices = [s_id, t_id] + list(range(len(coded)))
 
@@ -774,7 +771,6 @@ def build_general_network(graph: InputGraph, g0_vertices, z: int, seed: int = 0)
         play=play,
         states=states,
         partitions=partitions,
-        functions=functions,
         node_of=node_of,
         h_bound=h_bound,
     )

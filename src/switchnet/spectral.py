@@ -56,14 +56,6 @@ class InclusionMatrix:
                 m[i, j] = 1
         return m
 
-    def write_matrix_market(self, fh):
-        """Coordinate-format dump for offline inspection."""
-        entries = [(i + 1, j + 1) for i, cols in enumerate(self.row_cols) for j in cols]
-        fh.write("%%MatrixMarket matrix coordinate integer general\n")
-        fh.write(f"{len(self.rows)} {len(self.cols)} {len(entries)}\n")
-        for i, j in entries:
-            fh.write(f"{i} {j} 1\n")
-
 
 def inclusion_matrix(n: int, k: int) -> InclusionMatrix:
     return InclusionMatrix(n, k)

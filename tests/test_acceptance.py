@@ -316,7 +316,7 @@ def test_criterion_10_general_builder(z):
     # every edge passes the can-go contract on all cuts
     masks = {
         node: (full_cut_mask(6) if chars is ONE else KFunction.from_chars(chars).posmask(6))
-        for node, chars in res.functions.items()
+        for chars, node in res.node_of.items()
     }
     full = full_cut_mask(6)
     edges_ok = all(

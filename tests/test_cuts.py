@@ -300,6 +300,10 @@ class TestSerialization:
         f = CutFunction(2, coeffs={frozenset({1}): Fraction(3, 7)})
         assert f.to_json()["coeffs"] == [{"V": [1], "c": "3/7"}]
 
+    def test_bool_vertex_rejected(self):
+        with pytest.raises(ValueError, match="vertex id True"):
+            CutFunction.from_json({"n": 2, "coeffs": [{"V": [True], "c": "1/1"}]})
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.data())

@@ -20,7 +20,6 @@ from switchnet.lowerbound import (
     SumVectorTable,
     build_base_function,
     build_invariant_family,
-    classify,
     closed_form_lower_bound,
     cutoff_case,
     cutoff_cost_bound,
@@ -32,7 +31,6 @@ from switchnet.lowerbound import (
     low_connectivity_hypotheses,
     lower_bound_certificate,
     relevance_threshold,
-    relevant,
     relevant_edges,
     representative,
     table_from_function,
@@ -156,26 +154,26 @@ class TestRelevance:
                 assert edges == pairwise_relevant_edges(graph, z, k, u, A)
                 for edge in [(a, b) for a in tokens for b in tokens]:
                     want = pairwise_relevant(graph, z, k, u, A, edge)
-                    assert relevant(graph, z, k, u, A, edge) == want, (edge, k, u, A)
-                    assert relevant(graph, z, k, u, set(A), list(edge)) == want
+                    assert (edge in edges) == want, (edge, k, u, A)
+                    assert (edge in relevant_edges(graph, z, k, u, set(A))) == want
 
     def test_chain_examples(self):
-        assert relevant(SHORT_CHAIN, 2, 1, 0, {1}, ("s", 1))
-        assert not relevant(SHORT_CHAIN, 2, 2, 0, {1, 2}, (1, 2))
+        assert ("s", 1) in relevant_edges(SHORT_CHAIN, 2, 1, 0, {1})
+        assert (1, 2) not in relevant_edges(SHORT_CHAIN, 2, 2, 0, {1, 2})
 
     def test_degenerate_edges_never_relevant(self):
-        assert not relevant(SHORT_CHAIN, 3, 1, 0, {1}, (1, "s"))
-        assert not relevant(SHORT_CHAIN, 3, 0, 0, set(), ("s", "t"))
+        assert (1, "s") not in relevant_edges(SHORT_CHAIN, 3, 1, 0, {1})
+        assert ("s", "t") not in relevant_edges(SHORT_CHAIN, 3, 0, 0, set())
 
     def test_endpoints_must_be_in_coordinate(self):
-        assert not relevant(SHORT_CHAIN, 3, 1, 0, {2}, ("s", 1))
+        assert ("s", 1) not in relevant_edges(SHORT_CHAIN, 3, 1, 0, {2})
 
     def test_classification(self):
-        assert classify(SHORT_CHAIN, 2, 1, 0, {1}) == "fixed"  # s->1 within 2^0
-        assert classify(InputGraph(3, set()), 3, 1, 0, {1}) == "free"
+        assert relevant_edges(SHORT_CHAIN, 2, 1, 0, {1})  # s->1 within 2^0: fixed
+        assert not relevant_edges(InputGraph(3, set()), 3, 1, 0, {1})
         # a pair linked by a direct edge is fixed at (2, 0) when the radius allows
-        assert classify(LONG_CHAIN, 3, 2, 0, {1, 2}) == "fixed"
-        assert classify(LONG_CHAIN, 3, 2, 0, {5, 6}) == "free"
+        assert relevant_edges(LONG_CHAIN, 3, 2, 0, {1, 2})
+        assert not relevant_edges(LONG_CHAIN, 3, 2, 0, {5, 6})
 
 
 class TestFixedValue:
@@ -186,8 +184,16 @@ class TestFixedValue:
         return t
 
     @staticmethod
-    def _fixed_value(t, graph, z, k, u, A):
-        return fixed_value(t, graph, z, k, u, A, relevant_edges(graph, z, k, u, A))
+    def _edges_at(t, graph, z, top):
+        """Each coordinate's relevant-edge list up to level top, in t's colex order."""
+        return {
+            (k, level - k): [relevant_edges(graph, z, k, level - k, S) for S in t.rank_map(k)]
+            for level in range(top + 1)
+            for k in range(level + 1)
+        }
+
+    def _fixed_value(self, t, graph, z, k, u, A):
+        return fixed_value(t, self._edges_at(t, graph, z, k + u), k, u, A)
 
     def test_source_equation(self):
         t = self._seed_table(SHORT_CHAIN, 2)
@@ -201,15 +207,32 @@ class TestFixedValue:
 
     def test_free_coordinate_rejected(self):
         t = self._seed_table(SHORT_CHAIN, 2)
-        assert classify(SHORT_CHAIN, 2, 1, 1, {1}) == "free"
+        assert not relevant_edges(SHORT_CHAIN, 2, 1, 1, {1})
         with pytest.raises(ValueError):
             self._fixed_value(t, SHORT_CHAIN, 2, 1, 1, frozenset({1}))
         with pytest.raises(ValueError):
             self._fixed_value(t, InputGraph(2, set()), 2, 1, 0, frozenset({1}))
 
+    def test_closure_reads_the_reduced_coordinate(self):
+        # s->1 and 1->2 are relevant at (2, 0, {1, 2}), so s->2 must be at (1, 0, {2})
+        t = SumVectorTable(2, 2, z=3)
+        edges_at = self._edges_at(t, SHORT_CHAIN, 3, 2)
+        fixed_value(t, edges_at, 2, 0, (1, 2))
+        edges_at[(1, 0)][t.rank_map(1)[frozenset({2})]].remove(("s", 2))
+        with pytest.raises(ConstructionError, match=r"closure violated: \('s', 2\) not relevant at \(1,0,\[2\]\)"):
+            fixed_value(t, edges_at, 2, 0, (1, 2))
+
     def test_multiple_equations_agree_during_builds(self):
         _, _, diag = build_base_function(LONG_CHAIN, 3)
         assert diag.multi_equation_checks >= 1  # agreement asserted internally
+
+    def test_lookup_keys(self):
+        t = self._seed_table(SHORT_CHAIN, 2)
+        t.vectors[(1, 0)] = [Fraction(-1), Fraction(1)]
+        assert [t.lookup(1, 0, A) for A in [(1,), frozenset({1}), (2,), frozenset({2})]] == [-1, -1, 1, 1]
+        assert [t.lookup(k, u, A) for k, u in [(0, 0), (-1, 0), (0, -1), (-1, -1)] for A in [(), frozenset()]] == [
+            1, 1, 0, 0, 0, 0, 0, 0
+        ]
 
 
 class TestErrorVectors:

@@ -1,7 +1,10 @@
 import io
 import json
+import subprocess
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +167,21 @@ class TestReduction:
         assert reduced.is_sound()
         family = all_distinct_permuted_copies(chain_with_lollipops(3, 2))
         assert reduced.is_complete_for(family)
+
+    def test_lollipop_contraction_independent_of_hash_seed(self):
+        # the chain builder's string node ids hash differently per seed
+        script = (
+            "import json\n"
+            "from switchnet.parity import build_chain_lollipop\n"
+            "print(json.dumps(build_chain_lollipop(4, 2, seed=0).network.reduce_by_lollipop(4).to_json()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           env={"PYTHONPATH": src, "PYTHONHASHSEED": seed}, timeout=120).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] == outs[1]
 
 
 class TestSerialization:

@@ -578,7 +578,6 @@ MIXED_LOLLIPOPS = InputGraph(8, {("s", 1), (1, 2), (2, "t"), ("s", 3), (4, "t"),
 ], ids=["k2-n4", "k2-n6", "k2-n8", "k2-n8-mixed", "k3-n6", "k3-n9"])
 def test_general_network_edges_match_tuple_loop(graph, k):
     res = build_general_network(graph, list(range(1, k + 1)), z=2, seed=0)
-    assert res.functions == {i: chars for chars, i in res.node_of.items()}
     assert res.network.edges == _tuple_builder_edges(res)
 
 
@@ -629,7 +628,7 @@ class TestGeneralBuilder:
         graph = InputGraph(4, {("s", 1), (1, 2), (2, "t"), ("s", 3), ("s", 4)})
         res = build_general_network(graph, [1, 2], z=2, seed=0)
         masks = {}
-        for node, chars in res.functions.items():
+        for chars, node in res.node_of.items():
             if chars is ONE:
                 masks[node] = (1 << (1 << 4)) - 1
             else:

@@ -1,4 +1,3 @@
-import io
 from fractions import Fraction
 from math import comb
 
@@ -41,13 +40,6 @@ class TestInclusionMatrix:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             inclusion_matrix(3, 3)
-
-    def test_matrix_market_dump(self):
-        buf = io.StringIO()
-        inclusion_matrix(3, 1).write_matrix_market(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].startswith("%%MatrixMarket")
-        assert lines[1] == "3 3 6"
 
 
 class TestJohnsonSpectrum:
