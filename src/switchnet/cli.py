@@ -390,7 +390,9 @@ def build_parser():
 
     p = command("pebble", help="pebble number or halving sequence")
     p.add_argument("--graph", required=True)
-    p.add_argument("--min", action="store_true")
+    p.add_argument("--min", action="store_true",
+                   help="accepted for compatibility; selects nothing: without --savitch the "
+                   "command reports the minimum pebble number")
     p.add_argument("--savitch", help="comma-separated s..t path, or 'auto'")
     p.set_defaults(func=cmd_pebble)
 

@@ -358,19 +358,8 @@ def random_sparse_function(n, rng, terms=4, max_level=None):
     return CutFunction(n, coeffs=coeffs)
 
 
-def transform(f: CutFunction) -> CutFunction:
-    """Fill in whichever representation of f is missing; returns f."""
-    f.values  # noqa: B018 - force both representations
-    f.coeffs
-    return f
-
-
 def dot(f, g):
     return f.dot(g)
-
-
-def permute(sigma, f):
-    return f.permuted(sigma)
 
 
 def maximal_no_instance(cut: int, n: int):

@@ -31,7 +31,7 @@ from .cuts import (
 )
 from .graphs import InputGraph
 from .spectral import min_norm_solve
-from .subsets import k_subsets
+from .subsets import k_subsets, superset_ranks
 from .sums import permutation_bound_sum, s_single
 
 REPRESENTATIVE_TOP = "TOP"
@@ -90,6 +90,7 @@ class SumVectorTable:
         self.tags = tags if tags is not None else {}
         self.z = z
         self._ranks = {}
+        self._supersets = {}
 
     def rank_map(self, k: int) -> dict:
         """Each k-subset as a frozenset -> its colex index, in colex order;
@@ -98,6 +99,22 @@ class SumVectorTable:
         if ranks is None:
             ranks = self._ranks[k] = {frozenset(A): i for i, A in enumerate(k_subsets(self.n, k))}
         return ranks
+
+    def superset_ranks(self, k: int) -> list:
+        """P_k as `subsets.superset_ranks(n, k)`; built on first use."""
+        sups = self._supersets.get(k)
+        if sups is None:
+            sups = self._supersets[k] = superset_ranks(self.n, k)
+        return sups
+
+    def up_sums(self, k: int, u: int) -> list:
+        """P_k s(k+1, u): per k-subset in colex order, the sum of s(k+1, u)
+        over its (k+1)-supersets; zeros when that level is not stored."""
+        sups = self.superset_ranks(k)
+        vec = self.vectors.get((k + 1, u))
+        if vec is None:
+            return [0] * len(sups)
+        return [sum(vec[i] for i in row) for row in sups]
 
     def lookup(self, k: int, u: int, A):
         """Stored value at (k, u, A), A any iterable of vertices; 0 off the
@@ -155,15 +172,9 @@ class SumVectorTable:
         """s(k,u) - (1/u) P_k s(k+1, u-1); defined for u >= 1."""
         if u < 1:
             raise ValueError("error vectors are defined for u >= 1")
-        out = []
-        for A in k_subsets(self.n, k):
-            sa = frozenset(A)
-            up = sum(
-                (self.lookup(k + 1, u - 1, sa | {b}) for b in range(1, self.n + 1) if b not in sa),
-                start=Fraction(0),
-            )
-            out.append(self.lookup(k, u, sa) - Fraction(1, u) * up)
-        return out
+        up = self.up_sums(k, u - 1)
+        vec = self.vectors.get((k, u), [0] * len(up))
+        return [x - Fraction(1, u) * y for x, y in zip(vec, up)]
 
     def norms(self, k: int, u: int):
         """(full, fixed, free) squared norms of the stored vector, as Fractions."""
@@ -360,26 +371,23 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
                 free_rows = [j for j, t in enumerate(prev_tags) if t == "free"]
                 free_cols = [i for i, t in enumerate(tags) if t == "free"]
                 if free_rows:
-                    prev_sets = list(table.rank_map(k - 1))
+                    sups = table.superset_ranks(k - 1)
                     col_pos = {i: p for p, i in enumerate(free_cols)}
                     matrix, rhs = [], []
                     for j in free_rows:
-                        V = prev_sets[j]
                         row = [0] * len(free_cols)
                         adj = 0
-                        for b in range(1, n + 1):
-                            if b in V:
-                                continue
-                            sup = rank[V | {b}]
+                        for sup in sups[j]:
                             if tags[sup] == "fixed":
                                 adj -= vec[sup]
                             else:
-                                row[col_pos[sup]] += 1
+                                row[col_pos[sup]] = 1
                         adj_sq += adj * adj
                         target = adj + (u + 1) * prev_vec[j]
                         if all(x == 0 for x in row):
                             # every superset is fixed; the constraint must already hold
                             if target != 0:
+                                V = list(table.rank_map(k - 1))[j]
                                 raise ConstructionError(
                                     f"over-determined coordinate {sorted(V)} at level ({k},{u})", k, u
                                 )
@@ -447,17 +455,11 @@ def build_base_function(graph: InputGraph, z: int, seed: int = 0):
 def _verify_completed_table(table: SumVectorTable, edges_at: dict):
     """Exact sweep over the numerators, in build order over the stored
     relevant-edge lists: every error vector zero, as
-    u s(k, u, A) = sum over b outside A of s(k+1, u-1, A + b), and every
-    relevant defect zero."""
-    n, look = table.n, table.lookup
+    u s(k, u) = P_k s(k+1, u-1), and every relevant defect zero."""
     for (k, u), edges in edges_at.items():
-        sets = table.rank_map(k)
-        if u >= 1:
-            for A in sets:
-                up = sum(look(k + 1, u - 1, A | {b}) for b in range(1, n + 1) if b not in A)
-                if u * look(k, u, A) != up:
-                    raise ConstructionError(f"nonzero error vector at ({k},{u})", k, u)
-        for A, coord_edges in zip(sets, edges):
+        if u >= 1 and any(u * x != y for x, y in zip(table.vectors[(k, u)], table.up_sums(k, u - 1))):
+            raise ConstructionError(f"nonzero error vector at ({k},{u})", k, u)
+        for A, coord_edges in zip(table.rank_map(k), edges):
             for e in coord_edges:
                 if table.delta_coordinate(e, k, u, A) != 0:
                     raise ConstructionError(f"nonzero defect for {e} at ({k},{u},{tuple(sorted(A))})", k, u)

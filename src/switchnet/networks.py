@@ -32,9 +32,6 @@ class NetEdge:
     label: tuple
     negated: bool = False
 
-    def endpoints(self):
-        return (self.u, self.v)
-
 
 def undirected_edges(triples):
     """NetEdges for the (u, v, label) triples in input order, skipping loops

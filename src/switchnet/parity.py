@@ -13,7 +13,7 @@ reduction gadgets cover a general core subgraph embedded among lollipops.
 import math
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice, permutations, product, starmap
@@ -915,17 +915,7 @@ class UpperBoundFormulas:
     master_bound: float
 
     def to_json(self):
-        return {
-            "k": self.k,
-            "z": self.z,
-            "n": self.n,
-            "general_bound": self.general_bound,
-            "regime_threshold": self.regime_threshold,
-            "regime": self.regime,
-            "regime1_bound": self.regime1_bound,
-            "regime2_bound": self.regime2_bound,
-            "master_bound": self.master_bound,
-        }
+        return asdict(self)
 
 
 def default_z(k: int) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .cuts import common_denominator
-from .subsets import k_subsets
+from .subsets import k_subsets, superset_ranks
 
 DEFAULT_TOL = 1e-10
 
@@ -33,15 +33,7 @@ class InclusionMatrix:
         self.k = k
         self.rows = k_subsets(n, k)
         self.cols = k_subsets(n, k + 1)
-        col_index = {c: j for j, c in enumerate(self.cols)}
-        self.row_cols = []  # per row, the column indices of its supersets
-        for A in self.rows:
-            present = set(A)
-            cols = []
-            for v in range(1, n + 1):
-                if v not in present:
-                    cols.append(col_index[tuple(sorted(A + (v,)))])
-            self.row_cols.append(sorted(cols))
+        self.row_cols = superset_ranks(n, k)  # per row, the column indices of its supersets
 
     @property
     def shape(self):

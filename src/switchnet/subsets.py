@@ -38,3 +38,27 @@ def k_subsets(n: int, k: int):
     if k < 0 or k > n:
         return []
     return sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
+
+
+def superset_ranks(n: int, k: int):
+    """The inclusion map P_k: for each k-subset A of {1..n}, in colex order,
+    the colex indices of its (k+1)-supersets A + b, ascending.
+
+    Adding b keeps the p elements below b in place, puts b at position p+1
+    and moves each element above b up one position.  Colex order puts A + b
+    before A + b' when b < b', so walking b upward lists the supersets in
+    ascending order.
+    """
+    out = []
+    for A in k_subsets(n, k):
+        below, above = 0, sum(comb(a - 1, i + 2) for i, a in enumerate(A))
+        ranks, p = [], 0
+        for b in range(1, n + 1):
+            if p < k and A[p] == b:
+                below += comb(b - 1, p + 1)
+                above -= comb(b - 1, p + 2)
+                p += 1
+            else:
+                ranks.append(below + comb(b - 1, p + 1) + above)
+        out.append(ranks)
+    return out

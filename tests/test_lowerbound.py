@@ -78,6 +78,19 @@ def random_table(n, max_level, rng):
     return SumVectorTable(n, max_level, vectors)
 
 
+def looped_error(table, k, u, A):
+    """Error-vector coordinate at (k, u, A) from the set-based loop over the
+    vertices b outside A (test oracle for `error_vector`)."""
+    if u < 1 or k < 0:
+        return Fraction(0)
+    sa = frozenset(A)
+    up = sum(
+        (table.lookup(k + 1, u - 1, sa | {b}) for b in range(1, table.n + 1) if b not in sa),
+        start=Fraction(0),
+    )
+    return table.lookup(k, u, sa) - Fraction(1, u) * up
+
+
 def pairwise_relevant(graph, z, k, u, A, edge):
     """Reference relevance test of one pair, checked field by field."""
     tail, head = edge
@@ -260,6 +273,27 @@ class TestErrorVectors:
         assert err[idx] == 1
         assert all(x == 0 for i, x in enumerate(err) if i != idx)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_looped_oracle(self, data):
+        # the up-sums over stored superset lists agree with the loop over the
+        # vertices outside A, off the stored levels too
+        n = data.draw(st.integers(0, 5))
+        max_level = data.draw(st.integers(0, 3))
+        vectors = {
+            (k, total - k): data.draw(st.lists(rationals(), min_size=len(subs), max_size=len(subs)))
+            for total in range(max_level + 1)
+            for k in range(total + 1)
+            for subs in [k_subsets(n, k)]
+        }
+        table = SumVectorTable(n, max_level, vectors)
+        for k in range(-1, n + 2):
+            for u in range(1, max_level + 3):
+                got = table.error_vector(k, u)
+                assert got == [looped_error(table, k, u, A) for A in k_subsets(n, k)]
+                assert all(type(x) is Fraction for x in got)
+        assert all(table.superset_ranks(k) is table.superset_ranks(k) for k in range(n + 1))
+
     def test_recurrences_on_random_tables(self, rng):
         # the three decompositions of the error vector into defects and
         # lower-order errors hold identically on arbitrary tables
@@ -268,14 +302,7 @@ class TestErrorVectors:
             table = random_table(n, 3, rng)
 
             def err(k, u, A):
-                if u < 1 or k < 0:
-                    return Fraction(0)
-                sa = frozenset(A)
-                up = sum(
-                    (table.lookup(k + 1, u - 1, sa | {b}) for b in range(1, n + 1) if b not in sa),
-                    start=Fraction(0),
-                )
-                return table.lookup(k, u, sa) - Fraction(1, u) * up
+                return looped_error(table, k, u, A)
 
             def dsum(edge, k, u, A):
                 return Fraction(1, u) * sum(
@@ -427,7 +454,16 @@ class TestDiagnostics:
         graph = InputGraph(6, edges)
         with pytest.raises(ConstructionError) as err:
             build_base_function(graph, 3)
-        assert err.value.k is not None
+        assert str(err.value) == "over-determined coordinate [] at level (1,1)"
+        assert (err.value.k, err.value.u) == (1, 1)
+
+    def test_over_determined_row_names_its_subset(self):
+        # the row whose supersets are all fixed is the 1-subset {3}
+        graph = InputGraph(4, {("s", 1), (1, 4), (2, 3), (4, 3)})
+        with pytest.raises(ConstructionError) as err:
+            build_base_function(graph, 3)
+        assert str(err.value) == "over-determined coordinate [3] at level (2,0)"
+        assert (err.value.k, err.value.u) == (2, 0)
 
 
 class TestExtendInvariant:

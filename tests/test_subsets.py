@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from switchnet.subsets import colex_rank, colex_unrank, k_subsets
+from switchnet.subsets import colex_rank, colex_unrank, k_subsets, superset_ranks
 
 
 def test_rank_matches_enumeration_order():
@@ -27,3 +27,10 @@ def test_rank_independent_of_n():
 def test_unrank_rejects_bad_input():
     with pytest.raises(ValueError):
         colex_unrank(-1, 2)
+
+
+def test_superset_ranks_match_ranked_unions():
+    for n in range(0, 9):
+        for k in range(0, n):
+            expected = [sorted(colex_rank(A + (b,)) for b in range(1, n + 1) if b not in A) for A in k_subsets(n, k)]
+            assert superset_ranks(n, k) == expected
