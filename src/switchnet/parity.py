@@ -13,6 +13,7 @@ reduction gadgets cover a general core subgraph embedded among lollipops.
 import math
 import random
 import struct
+from array import array
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
@@ -55,31 +56,54 @@ def _greedy_pick(masks, uncovered, bounds):
     return best
 
 
-def _greedy_cover(uncovered, masks_of, cands, settle=None):
+def _lane_pick(lanes, count, width):
+    """Lowest r maximising lane r of the sum of `lanes`, or None when every
+    lane sums to 0.  `lanes` is any iterable of ints, each holding `count`
+    little-endian lanes of `width` bytes, each 0 or 1.  They are summed
+    2**(8*width) - 1 at a time, which no lane overflows, and each partial sum
+    is widened into lanes of the first struct code (B, H, I, Q) at least
+    `width` bytes wide that holds the number of ints, so no lane carries into
+    the next."""
+    batch, parts, items = (1 << 8 * width) - 1, [], 0
+    for items, lane in enumerate(lanes, 1):
+        if items % batch == 1:
+            parts.append(lane)
+        else:
+            parts[-1] += lane
+    code = next(c for c in "BHIQ" if struct.calcsize(c) >= width and items < 1 << 8 * struct.calcsize(c))
+    wide, total = struct.calcsize(code), 0
+    for part in parts:
+        if wide > width:
+            data, buf = part.to_bytes(count * width, "little"), bytearray(count * wide)
+            for q in range(width):
+                buf[q::wide] = data[q::width]
+            part = int.from_bytes(buf, "little")
+        total += part
+    scores = array(code, total.to_bytes(count * wide, "little"))
+    best = max(scores, default=0)
+    return scores.index(best) if best else None
+
+
+class CoverStalled(ValueError):
+    """No candidate of a greedy cover round covers any remaining item."""
+
+
+def _greedy_cover(uncovered, pick, settle=None):
     """Greedy cover of the set bits of `uncovered`; returns the picked
-    candidates in order.  Each round picks by `_greedy_pick` over the masks
-    masks_of(cands, uncovered) and clears the pick's mask; a given `settle`
-    then returns settle(pick, uncovered), which may clear more bits.  `cands`
-    is any sequence with len and indexing, scored once with its bounds kept
-    across rounds, or a function drawing a fresh sequence that is scored
-    every round."""
-    draw = cands if callable(cands) else None
-    if draw is None:
-        masks = masks_of(cands, uncovered)
-        bounds = [uncovered.bit_count()] * len(cands)
+    candidates in order.  Each round, pick(uncovered) returns a candidate and
+    the bits it covers, or None when no candidate covers any remaining bit;
+    the covered bits are cleared, and a given `settle` then returns
+    settle(candidate, uncovered), which may clear more bits."""
     picks = []
     while uncovered:
-        if draw is not None:
-            cands = draw()
-            masks = masks_of(cands, uncovered)
-            bounds = [uncovered.bit_count()] * len(cands)
-        i = _greedy_pick(masks, uncovered, bounds)
-        if i is None:
-            raise RuntimeError("no candidate covers any remaining item")
-        picks.append(cands[i])
-        uncovered &= ~masks[i]
+        found = pick(uncovered)
+        if found is None:
+            raise CoverStalled("no candidate covers any remaining item")
+        cand, covered = found
+        picks.append(cand)
+        uncovered &= ~covered
         if settle is not None:
-            uncovered = settle(cands[i], uncovered)
+            uncovered = settle(cand, uncovered)
     return picks
 
 
@@ -397,20 +421,18 @@ class _Orderings:
         return self.row.unpack_from(self.flat, r * self.row.size)
 
 
-def _order_masks(rows, uncovered, placements):
-    """Bit p of the r-th mask is set when bit p of `uncovered` is and the
-    vertices of placements[p] appear in that order in the ordering rows[r].
+def _order_lanes(rows):
+    """lane(placement): an int whose lane r is 1 when the vertices of the
+    placement appear in that order in the ordering rows[r], and 0 otherwise.
 
     Each row is one lane of an int, as wide as a row entry (w bytes).  A
     vertex's position lane comes from the row columns; a pair's "a comes
     before b" lane is the top bit of pos[b] + 2**(8w-1) - pos[a], which
-    never borrows across lanes; a placement's lane ANDs its consecutive
-    pairs.  Every 8w placements' lanes, each shifted to its bit, make one
-    plane, and the planes are interleaved into rows of bytes that are read
-    back as one int per row.
+    never borrows across lanes, and is kept once computed; a placement's
+    lane ANDs its consecutive pairs (k = 1 gives all ones).
     """
     n, w, count = rows.n, rows.width, len(rows)
-    top, per = 8 * w - 1, 8 * w
+    top = 8 * w - 1
     ones = int.from_bytes((1).to_bytes(w, "little") * count, "little")
     high = ones << top
     items = memoryview(rows.flat).cast(rows.code)
@@ -427,20 +449,10 @@ def _order_masks(rows, uncovered, placements):
             before[a, b] = ((position(b) | high) - position(a)) >> top & ones
         return before[a, b]
 
-    groups = -(-len(placements) // per)
-    stride = groups * w  # bytes per mask
-    out = bytearray(count * stride)
-    for g in range(groups):
-        chosen, plane = uncovered >> g * per, 0
-        for i, tup in enumerate(placements[g * per : (g + 1) * per]):
-            if chosen >> i & 1:
-                plane |= reduce(and_, map(precedes, tup, tup[1:]), ones) << i
-        if plane:
-            data = plane.to_bytes(count * w, "little")
-            for q in range(w):
-                out[g * w + q :: stride] = data[q::w]
-    view = memoryview(out)
-    return [int.from_bytes(view[j : j + stride], "little") for j in range(0, len(out), stride)]
+    def lane(tup):
+        return reduce(and_, map(precedes, tup[1:], tup[2:]), precedes(tup[0], tup[1])) if tup[1:] else ones
+
+    return lane
 
 
 def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
@@ -449,18 +461,33 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
 
     Candidate vertex orderings are enumerated exhaustively for n <= 8 and
     sampled (seeded, CHAIN_SAMPLE_CAP per round) above that, held as byte
-    rows (`_Orderings`); each round keeps the first ordering whose prefix
-    states cover the most remaining placements, scored by `_order_masks`.
+    rows (`_Orderings`).  Each round sums the placement lanes of
+    `_order_lanes` over the remaining placements and keeps the first
+    ordering whose prefix states cover the most of them (`_lane_pick`).
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     rng = random.Random(seed)
     placements = placement_graphs(n, k)
     tuples = [tup for tup, _ in placements]
+    bit = {tup: 1 << i for i, tup in enumerate(tuples)}
     states = set()
+    vertices = range(1, n + 1)
+    if n <= 8:
+        rows = _Orderings(n, permutations(vertices))
+        lane = _order_lanes(rows)
 
-    def masks_of(cands, uncovered):
-        return _order_masks(cands, uncovered, tuples)
+    def pick(uncovered):
+        nonlocal rows, lane
+        if n > 8:
+            rows = _Orderings(n, (rng.sample(vertices, n) for _ in range(CHAIN_SAMPLE_CAP)))
+            lane = _order_lanes(rows)
+        remaining = (lane(tup) for p, tup in enumerate(tuples) if uncovered >> p & 1)
+        r = _lane_pick(remaining, len(rows), rows.width)
+        if r is None:
+            return None
+        row = rows[r]  # the placements in order along it are its k-subsequences
+        return row, sum(map(bit.__getitem__, combinations(row, k)))
 
     def settle(best, uncovered):
         # placements the ordering contains win along its prefixes; test the rest
@@ -470,10 +497,7 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
                 uncovered &= ~(1 << i)
         return uncovered
 
-    vertices = range(1, n + 1)
-    cands = (_Orderings(n, permutations(vertices)) if n <= 8
-             else lambda: _Orderings(n, (rng.sample(vertices, n) for _ in range(CHAIN_SAMPLE_CAP))))
-    orderings = _greedy_cover((1 << len(placements)) - 1, masks_of, cands, settle)
+    orderings = _greedy_cover((1 << len(placements)) - 1, pick, settle)
 
     bound = math.factorial(k) * k * n * math.log2(n)
     if len(states) > bound:
@@ -585,9 +609,6 @@ def build_partition_family(n: int, k: int, z: int, seed: int = 0):
     states = [frozenset(c) for c in combinations(range(1, k + 1), z)]
     _, full, mask_of = _match_masks(list(permutations(range(1, n + 1), k)), states, k)
 
-    def masks_of(cands, uncovered):
-        return list(map(mask_of, cands))
-
     def draw():
         base, b, drawn = list(range(1, n + 1)), n // k, []
         for _ in range(PARTITION_SAMPLE_CAP):
@@ -595,9 +616,22 @@ def build_partition_family(n: int, k: int, z: int, seed: int = 0):
             drawn.append(tuple(frozenset(base[i * b : (i + 1) * b]) for i in range(k)))
         return drawn
 
+    # every candidate is scored once, with its bounds kept across rounds, or
+    # a fresh draw is scored every round
     exhaustive = equal_partition_count(n, k) <= 50_000
-    cands = list(_iter_equal_partitions(n, k)) if exhaustive else draw
-    family = _greedy_cover(full, masks_of, cands)
+    if exhaustive:
+        cands = list(_iter_equal_partitions(n, k))
+        masks, bounds = list(map(mask_of, cands)), [full.bit_count()] * len(cands)
+
+    def pick(uncovered):
+        nonlocal cands, masks, bounds
+        if not exhaustive:
+            cands = draw()
+            masks, bounds = list(map(mask_of, cands)), [uncovered.bit_count()] * len(cands)
+        i = _greedy_pick(masks, uncovered, bounds)
+        return None if i is None else (cands[i], masks[i])
+
+    family = _greedy_cover(full, pick)
 
     bound = 2 * (4 * k) ** z * k * math.log2(max(n, 2))
     if len(family) > bound:

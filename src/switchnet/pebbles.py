@@ -124,8 +124,19 @@ def savitch_bound(length: int) -> int:
 
 def can_win_through(graph: InputGraph, allowed) -> bool:
     """Win from the empty state visiting only `allowed` intermediate states
-    (the start and any winning state are exempt)."""
-    return _search_win(graph, lambda st: is_winning(st) or st in allowed) is not None
+    (the start and any winning state are exempt).  Only the reachability of a
+    winning state matters here, not the play, so each toggle is first
+    checked against `allowed` and only an admitted one is tested for
+    legality."""
+    targets = [*graph.middle_vertices(), "t"]
+
+    def step(st):
+        for w in targets:
+            nxt = st ^ {w}
+            if (is_winning(nxt) or nxt in allowed) and toggle_justifiers(graph, st, w):
+                yield nxt, None
+
+    return bfs(frozenset(), step, is_winning)[1] is not None
 
 
 def network_from_states(states, n: int) -> SwitchingNetwork:

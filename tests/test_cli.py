@@ -109,7 +109,8 @@ class TestBuildUpper:
         (8, 2, 2, "c7a628d99e8651df218b7ad4e46d7183915c8c174ee8352d59fa655df9eac84a"),
         (9, 2, 3, "66fe253838fbfe465307212a2758c8d76a5b00740af2bba9ed8ead8c7359c8a0"),
         (10, 3, 13, "075618832dcc3e1cae37457c7d9c76cb50673de895cce45ebcd7c89057d4b309"),
-    ], ids=["n8k2", "n9k2", "n10k3"])
+        (8, 3, 11, "de5f100109db378217bd62998812e73592e3b1a306bb85afe6150b86c105b78b"),
+    ], ids=["n8k2", "n9k2", "n10k3", "n8k3"])
     def test_chain_network_is_pinned(self, tmp_path, monkeypatch, capsys, n, k, orderings, digest):
         # exhaustive orderings at n=8, sampled ones (seed 0) above; the
         # network file's digest pins every node, edge and order
@@ -472,6 +473,21 @@ class TestBoundOverrun:
         assert run(["build-upper", "--mode", "chain", "--graph", gpath]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "exceeds the bound" in json.loads(err[0])["error"]
+
+
+class TestStalledCover:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exits_one_with_json_error(self, tmp_path, monkeypatch, capsys, seed):
+        # one sampled ordering per round soon covers no remaining placement;
+        # the cover stops with a violation, not a traceback
+        monkeypatch.setattr(parity, "CHAIN_SAMPLE_CAP", 1)
+        gpath, out = tmp_path / "g.json", tmp_path / "net.json"
+        gpath.write_text(json.dumps(chain_with_lollipops(9, 3).to_json()))
+        assert run(["build-upper", "--mode", "chain", "--graph", gpath, "--seed", seed, "--out", out]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert captured.out == "" and not out.exists()
+        assert len(err) == 1 and json.loads(err[0]) == {"error": "no candidate covers any remaining item"}
 
 
 class TestReproducibility:

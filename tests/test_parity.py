@@ -276,6 +276,20 @@ class TestChainLollipopBuilder:
         with pytest.raises(ValueError):
             build_chain_lollipop(3, 5)
 
+    def test_first_exhaustive_shape_past_255_placements(self):
+        # (8, 3) has 336 placements, so its row scores take two-byte lanes;
+        # the orderings and states are the ones the per-ordering masks chose
+        res = build_chain_lollipop(8, 3, seed=0)
+        assert res.orderings == [
+            (1, 2, 3, 4, 5, 6, 7, 8), (1, 8, 7, 6, 5, 4, 3, 2), (4, 3, 2, 8, 7, 6, 1, 5),
+            (5, 6, 7, 8, 2, 3, 1, 4), (6, 2, 8, 4, 5, 1, 3, 7), (7, 3, 5, 4, 1, 8, 2, 6),
+            (4, 5, 2, 7, 6, 1, 3, 8), (8, 1, 3, 2, 5, 6, 7, 4), (1, 6, 3, 4, 7, 2, 8, 5),
+            (1, 2, 7, 4, 5, 8, 3, 6), (1, 2, 3, 5, 7, 8, 4, 6),
+        ]
+        assert len(res.states) == 64
+        assert (hashlib.sha256(json.dumps(sorted(sorted(st) for st in res.states)).encode()).hexdigest()
+                == "0761706cc3de7286360e825923bb6c0f68533b2da9caccb5dc5c06285b0bad73")
+
     def test_two_byte_rows_at_n260(self):
         # vertices above 127 take two-byte row entries; the orderings and the
         # network are the ones the tuple-based cover built
@@ -448,10 +462,23 @@ def order_cases(draw):
     return n, k, placements, orderings, uncovered
 
 
+def lanes_to_masks(lanes, count, width):
+    """Transpose placement lanes into one mask per row: bit p of row r's mask
+    is lane r of lanes[p].  Every lane must hold 0 or 1."""
+    cols = []
+    for lane in lanes:
+        data = lane.to_bytes(count * width, "little")
+        assert all(set(data[q::width]) <= ({0, 1} if q == 0 else {0}) for q in range(width))
+        cols.append(data[::width])
+    return [sum(col[r] << p for p, col in enumerate(cols)) for r in range(count)]
+
+
 def check_order_masks(n, k, placements, orderings, uncovered):
     rows = parity._Orderings(n, orderings)
     assert len(rows) == len(orderings) and [rows[r] for r in range(len(rows))] == orderings
-    assert parity._order_masks(rows, uncovered, placements) == masks_by_combinations(orderings, uncovered, placements, k)
+    lane = parity._order_lanes(rows)
+    lanes = [lane(tup) if uncovered >> p & 1 else 0 for p, tup in enumerate(placements)]
+    assert lanes_to_masks(lanes, len(rows), rows.width) == masks_by_combinations(orderings, uncovered, placements, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -523,6 +550,39 @@ class TestGreedyPick:
                 uncovered &= ~masks[pick]
                 if rng.random() < 0.3:
                     uncovered &= rng.getrandbits(width)
+
+
+@st.composite
+def lane_pick_cases(draw):
+    """Up to 600 items, so that scores pass 255 and byte lanes are widened;
+    one- and two-byte lanes; masks drawn from a small pool, so that ties
+    between rows are common."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    items, width, count = draw(st.integers(0, 600)), draw(st.sampled_from([1, 2])), draw(st.integers(1, 12))
+    full = (1 << items) - 1
+    pool = [0, full] + [rnd.getrandbits(items) & rnd.getrandbits(items) for _ in range(3)] + [rnd.getrandbits(items)]
+    masks = [rnd.choice(pool) for _ in range(count)]
+    uncovered = draw(st.sampled_from([0, full, rnd.getrandbits(items)]))
+    return items, width, masks, uncovered
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_pick_cases())
+def test_lane_pick_matches_greedy_pick(case):
+    items, width, masks, uncovered = case
+    lanes = [sum((m >> p & 1) << 8 * width * r for r, m in enumerate(masks))
+             for p in range(items) if uncovered >> p & 1]
+    for remaining in (lanes, iter(lanes)):
+        want = _greedy_pick(masks, uncovered, [uncovered.bit_count()] * len(masks))
+        assert parity._lane_pick(remaining, len(masks), width) == want == eager_pick(masks, uncovered)
+
+
+def test_lane_pick_ties_and_widening():
+    # 300 one-byte lanes: rows 1 and 3 both score 300, past one byte
+    lanes = [int.from_bytes(bytes([0, 1, 1, 1]), "little")] * 300 + [int.from_bytes(bytes([1, 0, 0, 0]), "little")]
+    assert parity._lane_pick(lanes, 4, 1) == 1
+    assert parity._lane_pick(lanes[:2] + lanes[-1:] * 3, 4, 1) == 0
+    assert parity._lane_pick([], 4, 1) is None and parity._lane_pick([0, 0], 4, 2) is None
 
 
 class TestBuildersMatchEagerOracles:

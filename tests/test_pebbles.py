@@ -16,6 +16,7 @@ from switchnet.graphs import InputGraph
 from switchnet.networks import NetEdge, SwitchingNetwork
 from switchnet.pebbles import (
     STATE_CAP,
+    _search_win,
     can_win_through,
     is_winning,
     max_middle_pebbles,
@@ -248,6 +249,20 @@ class TestSearchMatchesLoops:
                   for extra in (frozenset(), frozenset({"t"}))]
         allowed = {state for state in states if rng.random() < p}
         assert can_win_through(g, allowed) == _loop_can_win_through(g, allowed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.integers(0, 10**6), st.sampled_from([0.0, 0.2, 0.6, 0.95, 1.0]))
+    def test_can_win_through_matches_search_win(self, g, seed, p):
+        # the admit-first search against the one state search over moves(),
+        # admitting what can_win_through admitted before it had its own step
+        rng = random.Random(seed)
+        middles = range(1, g.n + 1)
+        states = [frozenset(c) | extra for k in range(g.n + 1) for c in combinations(middles, k)
+                  for extra in (frozenset(), frozenset({"t"}))]
+        allowed = {state for state in states if rng.random() < p}
+        want = _search_win(g, lambda st_: is_winning(st_) or st_ in allowed) is not None
+        assert can_win_through(g, allowed) == want
+        assert can_win_through(g, frozenset(allowed)) == want
 
     def test_state_cap_refuses_budgeted_search_only(self):
         g = chain_graph(STATE_CAP + 2)
