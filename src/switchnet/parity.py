@@ -13,7 +13,6 @@ reduction gadgets cover a general core subgraph embedded among lollipops.
 import math
 import random
 import struct
-from array import array
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import reduce
@@ -79,7 +78,7 @@ def _lane_pick(lanes, count, width):
                 buf[q::wide] = data[q::width]
             part = int.from_bytes(buf, "little")
         total += part
-    scores = array(code, total.to_bytes(count * wide, "little"))
+    scores = memoryview(total.to_bytes(count * wide, "little")).cast(code).tolist()
     best = max(scores, default=0)
     return scores.index(best) if best else None
 
