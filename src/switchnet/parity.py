@@ -87,12 +87,11 @@ class CoverStalled(ValueError):
     """No candidate of a greedy cover round covers any remaining item."""
 
 
-def _greedy_cover(uncovered, pick, settle=None):
+def _greedy_cover(uncovered, pick):
     """Greedy cover of the set bits of `uncovered`; returns the picked
     candidates in order.  Each round, pick(uncovered) returns a candidate and
-    the bits it covers, or None when no candidate covers any remaining bit;
-    the covered bits are cleared, and a given `settle` then returns
-    settle(candidate, uncovered), which may clear more bits."""
+    the bits the round covers, which are cleared, or None when no candidate
+    covers any remaining bit."""
     picks = []
     while uncovered:
         found = pick(uncovered)
@@ -101,8 +100,6 @@ def _greedy_cover(uncovered, pick, settle=None):
         cand, covered = found
         picks.append(cand)
         uncovered &= ~covered
-        if settle is not None:
-            uncovered = settle(cand, uncovered)
     return picks
 
 
@@ -461,8 +458,9 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
     Candidate vertex orderings are enumerated exhaustively for n <= 8 and
     sampled (seeded, CHAIN_SAMPLE_CAP per round) above that, held as byte
     rows (`_Orderings`).  Each round sums the placement lanes of
-    `_order_lanes` over the remaining placements and keeps the first
-    ordering whose prefix states cover the most of them (`_lane_pick`).
+    `_order_lanes` over the remaining placements, keeps the first ordering
+    whose prefix states cover the most of them (`_lane_pick`), and then
+    clears every remaining placement that wins through the grown state set.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -485,18 +483,18 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
         r = _lane_pick(remaining, len(rows), rows.width)
         if r is None:
             return None
-        row = rows[r]  # the placements in order along it are its k-subsequences
-        return row, sum(map(bit.__getitem__, combinations(row, k)))
-
-    def settle(best, uncovered):
-        # placements the ordering contains win along its prefixes; test the rest
-        states.update(frozenset(best[: j + 1]) for j in range(n))
+        # the placements in order along the row (its k-subsequences) win along
+        # its prefixes; the other remaining ones may win through the grown states
+        row = rows[r]
+        states.update(frozenset(row[: j + 1]) for j in range(n))
+        covered = sum(map(bit.__getitem__, combinations(row, k)))
+        rest = uncovered & ~covered
         for i, (_, g) in enumerate(placements):
-            if uncovered >> i & 1 and can_win_through(g, states):
-                uncovered &= ~(1 << i)
-        return uncovered
+            if rest >> i & 1 and can_win_through(g, states):
+                covered |= 1 << i
+        return row, covered
 
-    orderings = _greedy_cover((1 << len(placements)) - 1, pick, settle)
+    orderings = _greedy_cover((1 << len(placements)) - 1, pick)
 
     bound = math.factorial(k) * k * n * math.log2(n)
     if len(states) > bound:

@@ -224,6 +224,16 @@ def _loop_can_win_through(graph, allowed):
     return False
 
 
+def random_allowed(g, seed, p):
+    """Each state over g's middle vertices, with and without t, kept with
+    probability p."""
+    rng = random.Random(seed)
+    middles = range(1, g.n + 1)
+    states = [frozenset(c) | extra for k in range(g.n + 1) for c in combinations(middles, k)
+              for extra in (frozenset(), frozenset({"t"}))]
+    return {state for state in states if rng.random() < p}
+
+
 class TestSearchMatchesLoops:
     """Differential tests: the one state search under each admission rule
     against the loop that rule used to have."""
@@ -243,11 +253,7 @@ class TestSearchMatchesLoops:
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(), st.integers(0, 10**6), st.sampled_from([0.2, 0.6, 0.95]))
     def test_can_win_through(self, g, seed, p):
-        rng = random.Random(seed)
-        middles = range(1, g.n + 1)
-        states = [frozenset(c) | extra for k in range(g.n + 1) for c in combinations(middles, k)
-                  for extra in (frozenset(), frozenset({"t"}))]
-        allowed = {state for state in states if rng.random() < p}
+        allowed = random_allowed(g, seed, p)
         assert can_win_through(g, allowed) == _loop_can_win_through(g, allowed)
 
     @settings(max_examples=150, deadline=None)
@@ -255,14 +261,9 @@ class TestSearchMatchesLoops:
     def test_can_win_through_matches_search_win(self, g, seed, p):
         # the admit-first search against the one state search over moves(),
         # admitting what can_win_through admitted before it had its own step
-        rng = random.Random(seed)
-        middles = range(1, g.n + 1)
-        states = [frozenset(c) | extra for k in range(g.n + 1) for c in combinations(middles, k)
-                  for extra in (frozenset(), frozenset({"t"}))]
-        allowed = {state for state in states if rng.random() < p}
+        allowed = random_allowed(g, seed, p)
         want = _search_win(g, lambda st_: is_winning(st_) or st_ in allowed) is not None
         assert can_win_through(g, allowed) == want
-        assert can_win_through(g, frozenset(allowed)) == want
 
     def test_state_cap_refuses_budgeted_search_only(self):
         g = chain_graph(STATE_CAP + 2)
