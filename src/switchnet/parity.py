@@ -445,7 +445,7 @@ def _order_lanes(rows):
             before[a, b] = ((position(b) | high) - position(a)) >> top & ones
         return before[a, b]
 
-    def lane(tup):
+    def lane(tup):  # from the first pair, so a k = 2 lane is the kept pair lane, not a copy
         return reduce(and_, map(precedes, tup[1:], tup[2:]), precedes(tup[0], tup[1])) if tup[1:] else ones
 
     return lane
