@@ -121,6 +121,7 @@ def _load_network(path):
 def cmd_verify_network(args):
     net = _load_network(args.net)
     graph = _load_graph(args.graph)
+    _require(graph.n == net.n, "input graph vertex count does not match network labels")
     sound = net.is_sound()
     counterexample = None if sound else {"kind": "unsound", "cut_left_mask": net.soundness_counterexample()}
     family = [graph] if args.family == "single" else all_distinct_permuted_copies(graph)

@@ -9,8 +9,9 @@ edge set and every disconnected input is a subgraph of some G(C).
 
 Both sweeps run one dataflow pass over per-node bitmasks.  Soundness
 uses bitmasks over the cut space, which also yields the reachability
-function of every node; completeness over a family of input graphs uses
-bitmasks over the family's members.
+function of every node; acceptance of a family of input graphs (`accepted`,
+behind completeness and the pebble game's win-through test) uses bitmasks
+over the family's members.
 """
 
 import json
@@ -202,7 +203,14 @@ class SwitchingNetwork:
         return self.completeness_counterexample(family) is None
 
     def completeness_counterexample(self, family):
-        """The first member of the family the network rejects, or None.
+        """The first member of the family the network rejects, or None."""
+        family = list(family)
+        rejected = ((1 << len(family)) - 1) ^ self.accepted(family)
+        return family[(rejected & -rejected).bit_length() - 1] if rejected else None
+
+    def accepted(self, family) -> int:
+        """The mask of the members the network accepts: bit i is set when
+        family[i] is accepted.
 
         One dataflow pass decides the whole family: bit i of a label's mask
         says whether family[i] contains that label."""
@@ -216,8 +224,7 @@ class SwitchingNetwork:
                 if label in index:
                     contains[index[label]] |= 1 << i
         full = (1 << len(family)) - 1
-        rejected = full ^ self._mask_dataflow(contains, full, full)[self._t]
-        return family[(rejected & -rejected).bit_length() - 1] if rejected else None
+        return self._mask_dataflow(contains, full, full)[self._t]
 
     def reachability_functions(self):
         """node -> CutFunction with value -1 where the node is reachable, +1 otherwise."""

@@ -460,14 +460,16 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
     rows (`_Orderings`).  Each round sums the placement lanes of
     `_order_lanes` over the remaining placements, keeps the first ordering
     whose prefix states cover the most of them (`_lane_pick`), and then
-    clears every remaining placement that wins through the grown state set.
+    clears every placement that wins through the grown state set: one
+    dataflow over the placements, on the network those states emit
+    (`can_win_through`).
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     rng = random.Random(seed)
     placements = placement_graphs(n, k)
     tuples = [tup for tup, _ in placements]
-    bit = {tup: 1 << i for i, tup in enumerate(tuples)}
+    graphs = [g for _, g in placements]
     states = set()
     vertices = range(1, n + 1)
     if n <= 8:
@@ -483,16 +485,11 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
         r = _lane_pick(remaining, len(rows), rows.width)
         if r is None:
             return None
-        # the placements in order along the row (its k-subsequences) win along
-        # its prefixes; the other remaining ones may win through the grown states
+        # the row's k-subsequences win along its prefixes, so the mask holds
+        # every remaining placement the lanes counted, and maybe others
         row = rows[r]
         states.update(frozenset(row[: j + 1]) for j in range(n))
-        covered = sum(map(bit.__getitem__, combinations(row, k)))
-        rest = uncovered & ~covered
-        for i, (_, g) in enumerate(placements):
-            if rest >> i & 1 and can_win_through(g, states):
-                covered |= 1 << i
-        return row, covered
+        return row, can_win_through(graphs, states)
 
     orderings = _greedy_cover((1 << len(placements)) - 1, pick)
 
@@ -504,7 +501,7 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
         network=network,
         states=states,
         orderings=orderings,
-        placements=[g for _, g in placements],
+        placements=graphs,
         size_bound=bound,
     )
 

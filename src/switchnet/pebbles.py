@@ -122,21 +122,13 @@ def savitch_bound(length: int) -> int:
     return ceil(log2(length)) if length > 1 else 0
 
 
-def can_win_through(graph: InputGraph, allowed) -> bool:
-    """Win from the empty state visiting only `allowed` intermediate states
-    (the start and any winning state are exempt).  Only the reachability of a
-    winning state matters here, not the play, so each toggle is first
-    checked against `allowed` and only an admitted one is tested for
-    legality."""
-    targets = [*graph.middle_vertices(), "t"]
-
-    def step(st):
-        for w in targets:
-            nxt = st ^ {w}
-            if (is_winning(nxt) or nxt in allowed) and toggle_justifiers(graph, st, w):
-                yield nxt, None
-
-    return bfs(frozenset(), step, is_winning)[1] is not None
+def can_win_through(graphs, allowed) -> int:
+    """The mask of the graphs (all on one n) whose game is won from the empty
+    state visiting only `allowed` intermediate states (the start and any
+    winning state are exempt): bit i is set for graphs[i].  That is exactly
+    when the network of the allowed states accepts graphs[i]."""
+    graphs = list(graphs)
+    return network_from_states(allowed, graphs[0].n).accepted(graphs) if graphs else 0
 
 
 def network_from_states(states, n: int) -> SwitchingNetwork:

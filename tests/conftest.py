@@ -32,10 +32,12 @@ def random_graph(n, rng, acyclic=False, p=0.3):
 
 
 @st.composite
-def small_graphs(draw):
-    """Random graphs on n <= 7 at several densities, cyclic or not; edges into
-    s and out of t are allowed, as InputGraph stores them."""
-    n = draw(st.integers(0, 7))
+def small_graphs(draw, n=None):
+    """Random graphs on the given n, or on n <= 7, at several densities,
+    cyclic or not; edges into s and out of t are allowed, as InputGraph
+    stores them."""
+    if n is None:
+        n = draw(st.integers(0, 7))
     p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
     acyclic = draw(st.booleans())
     return random_graph(n, random.Random(draw(st.integers(0, 10**6))), acyclic=acyclic, p=p)

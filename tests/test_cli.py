@@ -11,6 +11,7 @@ import pytest
 from switchnet import lowerbound, parity
 from switchnet.cli import build_parser, main
 from switchnet.graphs import InputGraph, chain_with_lollipops
+from switchnet.networks import SwitchingNetwork
 from switchnet.parity import build_chain_lollipop
 
 from conftest import layered_dag
@@ -110,10 +111,13 @@ class TestBuildUpper:
         (9, 2, 3, "66fe253838fbfe465307212a2758c8d76a5b00740af2bba9ed8ead8c7359c8a0"),
         (10, 3, 13, "075618832dcc3e1cae37457c7d9c76cb50673de895cce45ebcd7c89057d4b309"),
         (8, 3, 11, "de5f100109db378217bd62998812e73592e3b1a306bb85afe6150b86c105b78b"),
-    ], ids=["n8k2", "n9k2", "n10k3", "n8k3"])
+        (7, 4, 18, "3a37e382e7dcf06a03747604c05044f451cfe3e37664642d348805e31509bdf1"),
+        (12, 3, 15, "1074f8877229e5eb8d7cc2db4f2b92070e1bd244ebbb5964b37200452ae55f99"),
+    ], ids=["n8k2", "n9k2", "n10k3", "n8k3", "n7k4", "n12k3"])
     def test_chain_network_is_pinned(self, tmp_path, monkeypatch, capsys, n, k, orderings, digest):
-        # exhaustive orderings at n=8, sampled ones (seed 0) above; the
-        # network file's digest pins every node, edge and order
+        # exhaustive orderings at n <= 8, sampled ones (seed 0) above; the
+        # network file's digest pins every node, edge and order.  At (7, 4)
+        # and (12, 3) the grown states also clear placements off the picked row
         built, build = [], parity.build_chain_lollipop
         monkeypatch.setattr(parity, "build_chain_lollipop", lambda *a, **kw: built.append(build(*a, **kw)) or built[0])
         gpath, out = tmp_path / "g.json", tmp_path / "net.json"
@@ -420,7 +424,8 @@ class TestParameterDomain:
     vertex, or a --savitch path that is not an s...t path of the graph.  So
     are build-upper's graphs: chain mode needs the canonical chain with
     lollipops, and general mode without --g0 a core it can infer (bare.json
-    has neither a middle-to-middle edge nor an s...t path)."""
+    has neither a middle-to-middle edge nor an s...t path).  verify-network
+    checks that the graph's n is the network's before its soundness sweep."""
 
     @pytest.mark.parametrize("argv", [
         ["spectra", "--n", 4, "--k", 3],
@@ -445,10 +450,12 @@ class TestParameterDomain:
         ["verify-permutation-average", "--n", 12],
         ["verify-permutation-average", "--n", 0],
         ["verify-permutation-average", "--trials", 0],
+        ["verify-network", "--net", "net5.json", "--graph", "g.json"],
     ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z",
             "e0-token", "e0-range", "e0-not-edge", "e0-three-vertices", "g0-token", "g0-range", "g0-zero",
             "g0-repeated", "chain-not-canonical", "core-not-inferable", "savitch-token", "savitch-range", "savitch-not-edge", "savitch-not-st",
-            "permutation-average-n-large", "permutation-average-n-zero", "permutation-average-trials"])
+            "permutation-average-n-large", "permutation-average-n-zero", "permutation-average-trials",
+            "verify-network-n-mismatch"])
     def test_exits_two(self, tmp_path, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("the build ran before its parameters were checked")
@@ -456,9 +463,12 @@ class TestParameterDomain:
         monkeypatch.setattr(lowerbound, "build_invariant_family", refuse)
         monkeypatch.setattr(parity, "build_general_network", refuse)
         monkeypatch.setattr(parity, "build_chain_lollipop", refuse)
+        monkeypatch.setattr(SwitchingNetwork, "is_sound", refuse)
         (tmp_path / "g.json").write_text(json.dumps(chain_with_lollipops(4, 2).to_json()))
         (tmp_path / "bare.json").write_text(json.dumps(InputGraph(4, {("s", 1), ("s", 2)}).to_json()))
-        assert run([tmp_path / a if a in ("g.json", "bare.json") else a for a in argv]) == 2
+        (tmp_path / "net5.json").write_text(json.dumps(SwitchingNetwork(5, ["a", "b"], "a", "b", []).to_json()))
+        files = ("g.json", "bare.json", "net5.json")
+        assert run([tmp_path / a if a in files else a for a in argv]) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert captured.out == ""

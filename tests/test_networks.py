@@ -103,8 +103,9 @@ class TestCompleteness:
         assert TWO_STEP.completeness_counterexample([g]) == g
 
     def test_family_dataflow_matches_per_member_paths(self, rng):
-        """Oracle: one accepting_path BFS per member; the counterexample must
-        be the first member it rejects.  Networks lose random edges, and one
+        """Oracle: one accepting_path BFS per member; the accepted mask must
+        hold the members it accepts, and the counterexample must be the first
+        member it rejects.  Networks lose random edges, and one
         edge is negated, so both outcomes and negated labels are exercised."""
         base = build_chain_lollipop(4, 2, seed=0).network
         family = all_distinct_permuted_copies(chain_with_lollipops(4, 2))
@@ -117,6 +118,8 @@ class TestCompleteness:
                 keep[i] = NetEdge(e.u, e.v, e.label, negated=True)
             net = SwitchingNetwork(base.n, base.vertices, base.s_node, base.t_node, keep)
             first = next((g for g in family if net.accepting_path(g) is None), None)
+            assert net.accepted(family) == sum(1 << i for i, g in enumerate(family)
+                                               if net.accepting_path(g) is not None)
             assert net.completeness_counterexample(family) == first
             assert net.is_complete_for(family) == (first is None)
             outcomes.add(first is None)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from switchnet.cuts import CutFunction, Permutation, edge_crosses, iter_cuts
 from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops
 from switchnet.networks import undirected_edges
-from switchnet.pebbles import can_win_through
+from switchnet.pebbles import _search_win, is_winning
 from switchnet import parity
 from switchnet.parity import (
     ONE,
@@ -267,9 +267,7 @@ class TestChainLollipopBuilder:
         for ordering in res.orderings:
             before = len(uncovered)
             states.update(frozenset(ordering[: j + 1]) for j in range(n))
-            uncovered = [
-                i for i in uncovered if not can_win_through(res.placements[i], states)
-            ]
+            uncovered = [i for i in uncovered if not wins_through(res.placements[i], states)]
             assert before - len(uncovered) >= math.ceil(before / math.factorial(k))
 
     def test_parameter_validation(self):
@@ -344,6 +342,13 @@ class TestPartitionFamily:
             build_partition_family(5, 2, 1)
 
 
+def wins_through(g, states):
+    """Oracle for the win-through test: the state search over moves(),
+    admitting the given states and every winning state, not the network
+    dataflow the builder runs."""
+    return _search_win(g, lambda st: is_winning(st) or st in states) is not None
+
+
 def eager_pick(masks, uncovered):
     """Reference first-max pick: every candidate scored, ties to the first."""
     best, best_score = None, -1
@@ -375,7 +380,7 @@ def eager_chain_cover(n, k, seed=0):
         assert best_score > 0
         orderings.append(best)
         states.update(frozenset(best[: j + 1]) for j in range(n))
-        uncovered = [i for i in uncovered if not can_win_through(placements[i][1], states)]
+        uncovered = [i for i in uncovered if not wins_through(placements[i][1], states)]
     return orderings, states
 
 

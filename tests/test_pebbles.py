@@ -254,16 +254,16 @@ class TestSearchMatchesLoops:
     @given(small_graphs(), st.integers(0, 10**6), st.sampled_from([0.2, 0.6, 0.95]))
     def test_can_win_through(self, g, seed, p):
         allowed = random_allowed(g, seed, p)
-        assert can_win_through(g, allowed) == _loop_can_win_through(g, allowed)
+        assert can_win_through([g], allowed) == _loop_can_win_through(g, allowed)
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(), st.integers(0, 10**6), st.sampled_from([0.0, 0.2, 0.6, 0.95, 1.0]))
     def test_can_win_through_matches_search_win(self, g, seed, p):
-        # the admit-first search against the one state search over moves(),
-        # admitting what can_win_through admitted before it had its own step
+        # the network's acceptance against the one state search over moves(),
+        # admitting the allowed states and every winning state
         allowed = random_allowed(g, seed, p)
         want = _search_win(g, lambda st_: is_winning(st_) or st_ in allowed) is not None
-        assert can_win_through(g, allowed) == want
+        assert can_win_through([g], allowed) == want
 
     def test_state_cap_refuses_budgeted_search_only(self):
         g = chain_graph(STATE_CAP + 2)
@@ -271,4 +271,19 @@ class TestSearchMatchesLoops:
             winning_play(g, 1)
         with pytest.raises(ValueError):
             min_pebble_number(g)
-        assert not can_win_through(g, set())
+        assert can_win_through([g], set()) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(small_graphs(n), max_size=5)),
+           st.integers(0, 10**6), st.sampled_from([0.0, 0.2, 0.6, 0.95, 1.0]))
+    def test_can_win_through_masks_a_list(self, graphs, seed, p):
+        # bit i of the mask is graphs[i]'s own answer; an empty list gives 0.
+        # The allowed states hold winning states (with t) too
+        if not graphs:
+            assert can_win_through(graphs, random_allowed(InputGraph(3, set()), seed, p)) == 0
+            return
+        allowed = random_allowed(graphs[0], seed, p)
+        mask = can_win_through(graphs, allowed)
+        assert mask < 1 << len(graphs)
+        for i, g in enumerate(graphs):
+            assert mask >> i & 1 == _loop_can_win_through(g, allowed)
