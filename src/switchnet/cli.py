@@ -122,6 +122,7 @@ def cmd_verify_network(args):
     net = _load_network(args.net)
     graph = _load_graph(args.graph)
     _require(graph.n == net.n, "input graph vertex count does not match network labels")
+    _require(net.is_monotone(), "soundness is defined only for monotone networks: an edge is negated")
     sound = net.is_sound()
     counterexample = None if sound else {"kind": "unsound", "cut_left_mask": net.soundness_counterexample()}
     family = [graph] if args.family == "single" else all_distinct_permuted_copies(graph)
@@ -287,6 +288,7 @@ def cmd_pebble(args):
         )
         _emit(report, args.out)
         return EXIT_OK
+    _require(graph.n <= pebbles.STATE_CAP, f"need n <= {pebbles.STATE_CAP} without --savitch, got n={graph.n}")
     try:
         p = pebbles.min_pebble_number(graph)
     except ValueError as exc:

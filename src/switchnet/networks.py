@@ -34,18 +34,6 @@ class NetEdge:
     negated: bool = False
 
 
-def undirected_edges(triples):
-    """NetEdges for the (u, v, label) triples in input order, skipping loops
-    and any triple whose label already joins u and v in either direction."""
-    out, seen = [], set()
-    for u, v, label in triples:
-        if u == v or (u, v, label) in seen or (v, u, label) in seen:
-            continue
-        seen.add((u, v, label))
-        out.append(NetEdge(u, v, label))
-    return out
-
-
 def _json_at(x, depth):
     """x as json.dump(..., indent=2) writes it at nesting depth `depth`."""
     if type(x) is int:  # the builders' node ids; repr is json.dumps's text, and faster
@@ -72,13 +60,18 @@ class SwitchingNetwork:
     @classmethod
     def from_columns(cls, n: int, vertices, s_node, t_node, us, vs, labels, label_column):
         """The monotone network whose edge i joins the nodes at positions us[i]
-        and vs[i] of `vertices` with label labels[label_column[i]]."""
-        net = cls.__new__(cls)
+        and vs[i] of `vertices` with label labels[label_column[i]]; the three
+        columns have one entry per edge, and the labels are distinct."""
+        net, labels = cls.__new__(cls), list(labels)
         net._set_nodes(n, vertices, s_node, t_node)
+        if not len(us) == len(vs) == len(label_column):
+            raise ValueError("edge columns differ in length")
+        if len(set(labels)) != len(labels):
+            raise ValueError("labels repeat")
         for column, bound in ((us, len(net.vertices)), (vs, len(net.vertices)), (label_column, len(labels))):
             if column and not (min(column) >= 0 and max(column) < bound):
                 raise ValueError("edge column entry out of range")
-        net._set_edges(us, vs, list(labels), label_column, frozenset())
+        net._set_edges(us, vs, labels, label_column, frozenset())
         return net
 
     def _set_nodes(self, n, vertices, s_node, t_node):

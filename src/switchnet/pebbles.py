@@ -11,7 +11,7 @@ so the move relation is symmetric.
 from math import ceil, log2
 
 from .graphs import InputGraph, bfs, trace
-from .networks import SwitchingNetwork, undirected_edges
+from .networks import SwitchingNetwork
 
 STATE_CAP = 20  # search state spaces are 2**n; refuse beyond this
 
@@ -140,27 +140,24 @@ def network_from_states(states, n: int) -> SwitchingNetwork:
         {frozenset(st) for st in states if not is_winning(st)} - {start},
         key=lambda st: sorted(map(str, st)),
     )
-    t_node = "WIN"
-    s_node = "START"
-    name = {start: s_node}
-    for i, st in enumerate(interior):
-        name[st] = i
-    vertices = [s_node, t_node] + list(range(len(interior)))
+    # positions: START 0, WIN 1, the interior states 2 and up
+    pos = {start: 0, **{st: i for i, st in enumerate(interior, 2)}}
 
     # generic input graph over which toggles are labeled: any vertex pair may
     # justify a move; the *labels* are what acceptance later filters on
-    def toggles():
-        for st, a in name.items():
-            # sorted: the set order of "s" among ints varies with PYTHONHASHSEED
-            pebbled = sorted(_pebbled_with_s(st), key=str)
-            # winning toggles: add a pebble on t
-            for v in pebbled:
-                yield a, t_node, (v, "t")
-            for w in range(1, n + 1):
-                nxt = frozenset(set(st) ^ {w})
-                if nxt in name:
-                    for v in pebbled:
-                        if v != w:
-                            yield a, name[nxt], (v, w)
-
-    return SwitchingNetwork(n, vertices, s_node, t_node, undirected_edges(toggles()))
+    edges = []
+    for st, a in pos.items():
+        # sorted: the set order of "s" among ints varies with PYTHONHASHSEED
+        pebbled = sorted(_pebbled_with_s(st), key=str)
+        # winning toggles: add a pebble on t
+        edges += [(a, 1, (v, "t")) for v in pebbled]
+        for w in range(1, n + 1):
+            # a toggle joins two listed states; keep it from the one listed first
+            b = pos.get(st ^ {w}, 0)
+            if b > a:
+                edges += [(a, b, (v, w)) for v in pebbled if v != w]
+    index = {}
+    column = [index.setdefault(label, len(index)) for _, _, label in edges]
+    us, vs, _ = zip(*edges)  # never empty: START always has (s, t) to WIN
+    return SwitchingNetwork.from_columns(n, ["START", "WIN", *range(len(interior))], "START", "WIN",
+                                         us, vs, list(index), column)

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from switchnet import lowerbound, parity
+from switchnet import lowerbound, parity, pebbles
 from switchnet.cli import build_parser, main
 from switchnet.graphs import InputGraph, chain_with_lollipops
-from switchnet.networks import SwitchingNetwork
+from switchnet.networks import NetEdge, SwitchingNetwork
 from switchnet.parity import build_chain_lollipop
 
 from conftest import layered_dag
@@ -113,7 +113,8 @@ class TestBuildUpper:
         (8, 3, 11, "de5f100109db378217bd62998812e73592e3b1a306bb85afe6150b86c105b78b"),
         (7, 4, 18, "3a37e382e7dcf06a03747604c05044f451cfe3e37664642d348805e31509bdf1"),
         (12, 3, 15, "1074f8877229e5eb8d7cc2db4f2b92070e1bd244ebbb5964b37200452ae55f99"),
-    ], ids=["n8k2", "n9k2", "n10k3", "n8k3", "n7k4", "n12k3"])
+        (8, 4, 21, "1bff4c4478dd40dc188f6aaa21337e029b6a716d3b9ed1b7fff01cefb5422464"),
+    ], ids=["n8k2", "n9k2", "n10k3", "n8k3", "n7k4", "n12k3", "n8k4"])
     def test_chain_network_is_pinned(self, tmp_path, monkeypatch, capsys, n, k, orderings, digest):
         # exhaustive orderings at n <= 8, sampled ones (seed 0) above; the
         # network file's digest pins every node, edge and order.  At (7, 4)
@@ -425,7 +426,8 @@ class TestParameterDomain:
     are build-upper's graphs: chain mode needs the canonical chain with
     lollipops, and general mode without --g0 a core it can infer (bare.json
     has neither a middle-to-middle edge nor an s...t path).  verify-network
-    checks that the graph's n is the network's before its soundness sweep."""
+    checks that the graph's n is the network's, and that no edge is negated,
+    before its soundness sweep; pebble without --savitch needs n <= STATE_CAP."""
 
     @pytest.mark.parametrize("argv", [
         ["spectra", "--n", 4, "--k", 3],
@@ -451,11 +453,13 @@ class TestParameterDomain:
         ["verify-permutation-average", "--n", 0],
         ["verify-permutation-average", "--trials", 0],
         ["verify-network", "--net", "net5.json", "--graph", "g.json"],
+        ["verify-network", "--net", "negated.json", "--graph", "g.json"],
+        ["pebble", "--graph", "g25.json"],
     ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z",
             "e0-token", "e0-range", "e0-not-edge", "e0-three-vertices", "g0-token", "g0-range", "g0-zero",
             "g0-repeated", "chain-not-canonical", "core-not-inferable", "savitch-token", "savitch-range", "savitch-not-edge", "savitch-not-st",
             "permutation-average-n-large", "permutation-average-n-zero", "permutation-average-trials",
-            "verify-network-n-mismatch"])
+            "verify-network-n-mismatch", "verify-network-negated", "pebble-n-above-state-cap"])
     def test_exits_two(self, tmp_path, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("the build ran before its parameters were checked")
@@ -464,10 +468,14 @@ class TestParameterDomain:
         monkeypatch.setattr(parity, "build_general_network", refuse)
         monkeypatch.setattr(parity, "build_chain_lollipop", refuse)
         monkeypatch.setattr(SwitchingNetwork, "is_sound", refuse)
+        monkeypatch.setattr(pebbles, "min_pebble_number", refuse)
         (tmp_path / "g.json").write_text(json.dumps(chain_with_lollipops(4, 2).to_json()))
         (tmp_path / "bare.json").write_text(json.dumps(InputGraph(4, {("s", 1), ("s", 2)}).to_json()))
         (tmp_path / "net5.json").write_text(json.dumps(SwitchingNetwork(5, ["a", "b"], "a", "b", []).to_json()))
-        files = ("g.json", "bare.json", "net5.json")
+        negated = SwitchingNetwork(4, ["a", "b"], "a", "b", [NetEdge("a", "b", ("s", 1), negated=True)])
+        (tmp_path / "negated.json").write_text(json.dumps(negated.to_json()))
+        (tmp_path / "g25.json").write_text(json.dumps(chain_with_lollipops(25, 2).to_json()))
+        files = ("g.json", "bare.json", "net5.json", "negated.json", "g25.json")
         assert run([tmp_path / a if a in files else a for a in argv]) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()

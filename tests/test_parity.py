@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from switchnet.cuts import CutFunction, Permutation, edge_crosses, iter_cuts
 from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops
-from switchnet.networks import undirected_edges
+from switchnet.networks import NetEdge
 from switchnet.pebbles import _search_win, is_winning
 from switchnet import parity
 from switchnet.parity import (
@@ -632,7 +632,16 @@ def _tuple_builder_edges(res):
                         target = _tuple_canonical(chars + ((1, (w,)),))
                         if target in node_of:
                             edges.add((node_of[chars], node_of[target], (V[0], w)))
-    return undirected_edges(sorted(edges, key=str))
+    # the builder's dedupe loop before its int keys: each undirected edge once,
+    # in the str order of its (u, v, label) triples
+    net_edges, seen = [], set()
+    for a, b, label in sorted(edges, key=str):
+        key = (a, b, label) if str(a) <= str(b) else (b, a, label)
+        if key in seen or a == b:
+            continue
+        seen.add(key)
+        net_edges.append(NetEdge(a, b, label))
+    return net_edges
 
 
 MIXED_LOLLIPOPS = InputGraph(8, {("s", 1), (1, 2), (2, "t"), ("s", 3), (4, "t"), ("s", 5), (6, "t"), (7, "t"), ("s", 8)})

@@ -176,11 +176,13 @@ def _loop_network_from_states(states, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 5), st.data())
+@given(st.integers(0, 7), st.data())
 def test_network_from_states_matches_emit_loop(n, data):
-    # winning states (holding t) and repeats are drawn too; both are dropped
+    # winning states (holding t) and repeats are drawn too; both are dropped.
+    # Up to 24 states on n <= 7 join many interior states by toggles, listed
+    # in either order, so each toggle's reverse emission is dropped often
     state = st.frozensets(st.sampled_from([*range(1, n + 1), "t"]))
-    states = data.draw(st.lists(state, max_size=10))
+    states = data.draw(st.lists(state, max_size=24))
     assert network_from_states(states, n).to_json() == _loop_network_from_states(states, n).to_json()
 
 
