@@ -5,7 +5,8 @@ spectra, verify-permutation-average, formulas.  Every report records the
 seed and arithmetic mode; identical configs reproduce byte-identical
 reports apart from the timestamp.  Exit codes: 0 success, 1 property
 violation / hypothesis failure, 2 usage error (including an unreadable
-input file or an --out path that cannot be written).
+input file, an --out path that cannot be written, or a soundness sweep
+whose cut masks would exceed the budget in `networks`).
 
 --workers is still accepted for compatibility but selects nothing: every
 verification sweep runs as one single-process pass.
@@ -44,8 +45,8 @@ def _report(payload, seed=None, mode="exact-rational"):
 
 class UsageError(Exception):
     """A parameter outside its command's domain, an input file that cannot
-    be read or does not describe a valid object, or an --out file that
-    cannot be written; exits 2."""
+    be read or does not describe a valid object, an --out file that cannot
+    be written, or a soundness sweep over its memory budget; exits 2."""
 
 
 @contextmanager
@@ -118,8 +119,17 @@ def _load_network(path):
     return _load(path, SwitchingNetwork.from_json)
 
 
+def _require_sweep_fits(net):
+    """The soundness sweep's memory budget, checked before the sweep starts."""
+    try:
+        net.require_sweep_fits()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_verify_network(args):
     net = _load_network(args.net)
+    _require_sweep_fits(net)
     graph = _load_graph(args.graph)
     _require(graph.n == net.n, "input graph vertex count does not match network labels")
     _require(net.is_monotone(), "soundness is defined only for monotone networks: an edge is negated")
@@ -194,6 +204,7 @@ def _build_upper(args, graph, core, emptied):
                   if orbit_bound(result.graph) <= ORBIT_VERIFY_CAP else None)
     payload = {"mode": args.mode, "size": net.size, "bound": bound, "within_bound": net.size <= bound}
     if args.verify:
+        _require_sweep_fits(net)
         payload["sound"] = net.is_sound()
         if family is not None:
             payload["complete"] = net.is_complete_for(family)

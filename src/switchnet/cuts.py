@@ -17,7 +17,6 @@ lifts them to all 2**n cuts.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import lcm
 from operator import add, sub
@@ -61,15 +60,16 @@ def edge_crosses(edge, cut: int) -> bool:
 
 
 def _left_mask(n: int, v: int) -> int:
-    """Bitmask over all 2**n cuts with bit C set iff vertex v is in L(C):
-    runs of 2**(v-1) clear then set bits, repeated across the cut space.
-    Built in int arithmetic, so no 2**n-element array is allocated."""
-    run = 1 << (v - 1)
-    return (((1 << run) - 1) << run) * (full_cut_mask(n) // ((1 << 2 * run) - 1))
+    """Bitmask over all 2**n cuts with bit C set iff vertex v is in L(C): its
+    bytes repeat 0xAA, 0xCC or 0xF0 for v <= 3, else 2**(v-4) zero bytes then
+    as many 0xff bytes, and one int.from_bytes reads them in linear time."""
+    run = 1 << v >> 4
+    period = bytes(run) + b"\xff" * run if run else b"\xaa\xcc\xf0"[v - 1:v]
+    if n < 3:  # fewer than 8 cuts: the low bits of the one-byte pattern
+        return period[0] & full_cut_mask(n)
+    return int.from_bytes(period * ((1 << n >> 3) // len(period)), "little")
 
 
-# 1024 entries outnumber the 273 edge labels at n = 16 and cap a cache at 8 MiB
-@lru_cache(maxsize=1024)
 def crossing_mask(n: int, edge) -> int:
     """Bitmask over all 2**n cuts with bit C set iff the edge crosses C."""
     tail, head = edge
@@ -82,7 +82,6 @@ def crossing_mask(n: int, edge) -> int:
     return left & (full if head == "t" else full ^ _left_mask(n, head))
 
 
-@lru_cache(maxsize=1024)
 def parity_mask(n: int, vmask: int) -> int:
     """Bitmask over cuts with bit C set iff |V & L(C)| is odd (V as bitmask)."""
     parity = 0

@@ -24,6 +24,9 @@ from .cuts import CutFunction, crossing_mask, full_cut_mask
 from .graphs import InputGraph, _require_count, _valid_vertex, bfs, trace
 
 WRITE_BLOCK = 4096  # edges per write in SwitchingNetwork.write_json
+# bits of cut masks a soundness sweep may hold, 4 GiB; it holds one 2**n-bit
+# mask per node and one per distinct label
+SWEEP_BITS_CAP = 1 << 35
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,14 @@ class SwitchingNetwork:
         if not self.is_monotone():
             raise ValueError("operation defined only for monotone networks")
 
+    def require_sweep_fits(self):
+        """Refuse, with a ValueError, a soundness sweep whose cut masks would
+        take more than SWEEP_BITS_CAP bits."""
+        bits = (len(self.vertices) + len(self._labels)) << self.n
+        if bits > SWEEP_BITS_CAP:
+            raise ValueError(f"the soundness sweep at n={self.n} needs {bits} bits of cut masks, "
+                             f"above its budget of {SWEEP_BITS_CAP}")
+
     def accepts(self, graph: InputGraph) -> bool:
         """True iff some s'-t' path uses only labels consistent with the graph."""
         return self.accepting_path(graph) is not None
@@ -177,6 +188,7 @@ class SwitchingNetwork:
         """For each node, the bitmask over cuts C where the node is reachable
         from s' using only labels that do not cross C (labels in E(G(C)))."""
         self._require_monotone()
+        self.require_sweep_fits()
         full = full_cut_mask(self.n)
         usable = [full ^ crossing_mask(self.n, label) for label in self._labels]
         return dict(zip(self.vertices, self._mask_dataflow(usable, full)))

@@ -211,7 +211,7 @@ def can_go(f, g, edge, n=None) -> bool:
         fv = f.to_cut_function(n).values if isinstance(f, KFunction) else f.values
         gv = g.to_cut_function(n).values if isinstance(g, KFunction) else g.values
         differ = nonzero_mask(a != b for a, b in zip(fv, gv))
-    return differ & ~crossing_mask(n, tuple(edge)) == 0
+    return differ & ~crossing_mask(n, edge) == 0
 
 
 def _lollipop_toggles(code, vertices):
@@ -460,9 +460,10 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
     rows (`_Orderings`).  Each round sums the placement lanes of
     `_order_lanes` over the remaining placements, keeps the first ordering
     whose prefix states cover the most of them (`_lane_pick`), and then
-    clears every placement that wins through the grown state set: one
-    dataflow over the placements, on the network those states emit
-    (`can_win_through`).
+    clears every placement that wins through the grown state set: it emits
+    the network of those states once, and one dataflow over the placements
+    decides acceptance on it (`can_win_through`).  The last round's network
+    is the result.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -470,14 +471,14 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
     placements = placement_graphs(n, k)
     tuples = [tup for tup, _ in placements]
     graphs = [g for _, g in placements]
-    states = set()
+    states, network = set(), None
     vertices = range(1, n + 1)
     if n <= 8:
         rows = _Orderings(n, permutations(vertices))
         lane = _order_lanes(rows)
 
     def pick(uncovered):
-        nonlocal rows, lane
+        nonlocal rows, lane, network
         if n > 8:
             rows = _Orderings(n, (rng.sample(vertices, n) for _ in range(CHAIN_SAMPLE_CAP)))
             lane = _order_lanes(rows)
@@ -489,14 +490,14 @@ def build_chain_lollipop(n: int, k: int, seed: int = 0) -> ChainLollipopResult:
         # every remaining placement the lanes counted, and maybe others
         row = rows[r]
         states.update(frozenset(row[: j + 1]) for j in range(n))
-        return row, can_win_through(graphs, states)
+        network = network_from_states(states, n)
+        return row, can_win_through(graphs, network)
 
     orderings = _greedy_cover((1 << len(placements)) - 1, pick)
 
     bound = math.factorial(k) * k * n * math.log2(n)
     if len(states) > bound:
         raise BoundExceeded(f"cover of {len(states)} states exceeds the bound {bound:.1f}")
-    network = network_from_states(states, n)
     return ChainLollipopResult(
         network=network,
         states=states,

@@ -122,13 +122,13 @@ def savitch_bound(length: int) -> int:
     return ceil(log2(length)) if length > 1 else 0
 
 
-def can_win_through(graphs, allowed) -> int:
-    """The mask of the graphs (all on one n) whose game is won from the empty
-    state visiting only `allowed` intermediate states (the start and any
-    winning state are exempt): bit i is set for graphs[i].  That is exactly
-    when the network of the allowed states accepts graphs[i]."""
-    graphs = list(graphs)
-    return network_from_states(allowed, graphs[0].n).accepted(graphs) if graphs else 0
+def can_win_through(graphs, network: SwitchingNetwork) -> int:
+    """The mask of the graphs (all on the network's n) whose game is won from
+    the empty state visiting only the intermediate states `network` was
+    emitted from by `network_from_states` (the start and any winning state are
+    exempt): bit i is set for graphs[i].  That is exactly when the network
+    accepts graphs[i]."""
+    return network.accepted(graphs)
 
 
 def network_from_states(states, n: int) -> SwitchingNetwork:

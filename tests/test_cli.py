@@ -426,8 +426,9 @@ class TestParameterDomain:
     are build-upper's graphs: chain mode needs the canonical chain with
     lollipops, and general mode without --g0 a core it can infer (bare.json
     has neither a middle-to-middle edge nor an s...t path).  verify-network
-    checks that the graph's n is the network's, and that no edge is negated,
-    before its soundness sweep; pebble without --savitch needs n <= STATE_CAP."""
+    checks that the graph's n is the network's, that no edge is negated, and
+    that the sweep's cut masks fit their budget, before its soundness sweep;
+    pebble without --savitch needs n <= STATE_CAP."""
 
     @pytest.mark.parametrize("argv", [
         ["spectra", "--n", 4, "--k", 3],
@@ -454,12 +455,14 @@ class TestParameterDomain:
         ["verify-permutation-average", "--trials", 0],
         ["verify-network", "--net", "net5.json", "--graph", "g.json"],
         ["verify-network", "--net", "negated.json", "--graph", "g.json"],
+        ["verify-network", "--net", "net40.json", "--graph", "g40.json"],
         ["pebble", "--graph", "g25.json"],
     ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z",
             "e0-token", "e0-range", "e0-not-edge", "e0-three-vertices", "g0-token", "g0-range", "g0-zero",
             "g0-repeated", "chain-not-canonical", "core-not-inferable", "savitch-token", "savitch-range", "savitch-not-edge", "savitch-not-st",
             "permutation-average-n-large", "permutation-average-n-zero", "permutation-average-trials",
-            "verify-network-n-mismatch", "verify-network-negated", "pebble-n-above-state-cap"])
+            "verify-network-n-mismatch", "verify-network-negated", "verify-network-sweep-budget",
+            "pebble-n-above-state-cap"])
     def test_exits_two(self, tmp_path, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("the build ran before its parameters were checked")
@@ -475,12 +478,39 @@ class TestParameterDomain:
         negated = SwitchingNetwork(4, ["a", "b"], "a", "b", [NetEdge("a", "b", ("s", 1), negated=True)])
         (tmp_path / "negated.json").write_text(json.dumps(negated.to_json()))
         (tmp_path / "g25.json").write_text(json.dumps(chain_with_lollipops(25, 2).to_json()))
-        files = ("g.json", "bare.json", "net5.json", "negated.json", "g25.json")
+        (tmp_path / "net40.json").write_text(json.dumps(SwitchingNetwork(40, ["a", "b"], "a", "b", []).to_json()))
+        (tmp_path / "g40.json").write_text(json.dumps(InputGraph(40, set()).to_json()))
+        files = ("g.json", "bare.json", "net5.json", "negated.json", "g25.json", "net40.json", "g40.json")
         assert run([tmp_path / a if a in files else a for a in argv]) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
         assert captured.out == ""
         assert len(err) == 1 and "error" in json.loads(err[0])
+
+
+class TestSweepBudget:
+    def test_chain_verify_refused_after_the_build(self, tmp_path, monkeypatch, capsys):
+        # (28, 1) builds in milliseconds, but its soundness sweep would hold
+        # (30 nodes + 435 labels) * 2**28 bits; the build runs, the sweep does not
+        built = []
+
+        def build(*args, **kwargs):
+            built.append(args)
+            return build_chain_lollipop(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the soundness sweep started")
+
+        monkeypatch.setattr(parity, "build_chain_lollipop", build)
+        monkeypatch.setattr(SwitchingNetwork, "is_sound", refuse)
+        gpath, out = tmp_path / "g.json", tmp_path / "net.json"
+        gpath.write_text(json.dumps(chain_with_lollipops(28, 1).to_json()))
+        assert run(["build-upper", "--mode", "chain", "--graph", gpath, "--verify", "--out", out]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert built == [(28, 1)]
+        assert captured.out == "" and not out.exists()
+        assert len(err) == 1 and "budget" in json.loads(err[0])["error"]
 
 
 class TestBoundOverrun:

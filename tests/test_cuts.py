@@ -179,12 +179,15 @@ class TestEdgeCrossing:
                 (sigma(u), sigma(v)), sigma.apply_cut(c)
             )
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    # n <= 9 runs both byte patterns of the left masks over many periods and
+    # over runs of several bytes, and n < 3 their one-byte truncation; the
+    # parity half walks all 2**n vertex sets, so it stops at n = 7
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_masks_match_per_cut_oracles(self, n):
         verts = ["s", "t"] + list(range(1, n + 1))
         for e in [(u, v) for u in verts for v in verts if u != v]:
             assert crossing_mask(n, e) == sum(1 << c for c in iter_cuts(n) if edge_crosses(e, c))
-        for vmask in range(1 << n):
+        for vmask in range(1 << n if n <= 7 else 0):
             V = [v for v in range(1, n + 1) if vmask >> (v - 1) & 1]
             want = sum(1 << c for c in iter_cuts(n) if eval_character(V, c, n) == -1)
             assert parity_mask(n, vmask) == want

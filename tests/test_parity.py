@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from switchnet.cuts import CutFunction, Permutation, edge_crosses, iter_cuts
 from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops
 from switchnet.networks import NetEdge
-from switchnet.pebbles import _search_win, is_winning
+from switchnet.pebbles import _search_win, is_winning, network_from_states
 from switchnet import parity
 from switchnet.parity import (
     ONE,
@@ -269,6 +269,21 @@ class TestChainLollipopBuilder:
             states.update(frozenset(ordering[: j + 1]) for j in range(n))
             uncovered = [i for i in uncovered if not wins_through(res.placements[i], states)]
             assert before - len(uncovered) >= math.ceil(before / math.factorial(k))
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (9, 2)])
+    def test_each_round_emits_once(self, monkeypatch, n, k):
+        # one network per round, exhaustive (n <= 8) and sampled; the result
+        # is the last round's network, not a fresh emission
+        emitted = []
+
+        def emit(states, n):
+            emitted.append(network_from_states(states, n))
+            return emitted[-1]
+
+        monkeypatch.setattr(parity, "network_from_states", emit)
+        res = build_chain_lollipop(n, k, seed=0)
+        assert len(emitted) == len(res.orderings)
+        assert res.network is emitted[-1]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

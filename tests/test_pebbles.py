@@ -256,7 +256,7 @@ class TestSearchMatchesLoops:
     @given(small_graphs(), st.integers(0, 10**6), st.sampled_from([0.2, 0.6, 0.95]))
     def test_can_win_through(self, g, seed, p):
         allowed = random_allowed(g, seed, p)
-        assert can_win_through([g], allowed) == _loop_can_win_through(g, allowed)
+        assert can_win_through([g], network_from_states(allowed, g.n)) == _loop_can_win_through(g, allowed)
 
     @settings(max_examples=150, deadline=None)
     @given(small_graphs(), st.integers(0, 10**6), st.sampled_from([0.0, 0.2, 0.6, 0.95, 1.0]))
@@ -265,7 +265,7 @@ class TestSearchMatchesLoops:
         # admitting the allowed states and every winning state
         allowed = random_allowed(g, seed, p)
         want = _search_win(g, lambda st_: is_winning(st_) or st_ in allowed) is not None
-        assert can_win_through([g], allowed) == want
+        assert can_win_through([g], network_from_states(allowed, g.n)) == want
 
     def test_state_cap_refuses_budgeted_search_only(self):
         g = chain_graph(STATE_CAP + 2)
@@ -273,7 +273,7 @@ class TestSearchMatchesLoops:
             winning_play(g, 1)
         with pytest.raises(ValueError):
             min_pebble_number(g)
-        assert can_win_through([g], set()) == 0
+        assert can_win_through([g], network_from_states(set(), g.n)) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 5).flatmap(lambda n: st.lists(small_graphs(n), max_size=5)),
@@ -282,10 +282,11 @@ class TestSearchMatchesLoops:
         # bit i of the mask is graphs[i]'s own answer; an empty list gives 0.
         # The allowed states hold winning states (with t) too
         if not graphs:
-            assert can_win_through(graphs, random_allowed(InputGraph(3, set()), seed, p)) == 0
+            allowed = random_allowed(InputGraph(3, set()), seed, p)
+            assert can_win_through(graphs, network_from_states(allowed, 3)) == 0
             return
         allowed = random_allowed(graphs[0], seed, p)
-        mask = can_win_through(graphs, allowed)
+        mask = can_win_through(graphs, network_from_states(allowed, graphs[0].n))
         assert mask < 1 << len(graphs)
         for i, g in enumerate(graphs):
             assert mask >> i & 1 == _loop_can_win_through(g, allowed)
