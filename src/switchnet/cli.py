@@ -5,8 +5,9 @@ spectra, verify-permutation-average, formulas.  Every report records the
 seed and arithmetic mode; identical configs reproduce byte-identical
 reports apart from the timestamp.  Exit codes: 0 success, 1 property
 violation / hypothesis failure, 2 usage error (including an unreadable
-input file, an --out path that cannot be written, or a soundness sweep
-whose cut masks would exceed the budget in `networks`).
+input file, an --out path that cannot be written, a soundness sweep
+whose cut masks would exceed the budget in `networks`, or a
+verify-network permuted-copy family above ORBIT_VERIFY_CAP).
 
 --workers is still accepted for compatibility but selects nothing: every
 verification sweep runs as one single-process pass.
@@ -32,7 +33,8 @@ EXIT_USAGE = 2
 
 # build-upper --verify checks completeness over the permuted copies of a
 # general build's graph when their count's bound `orbit_bound` is at most
-# this: 8!, so every graph on n <= 8 vertices qualifies.
+# this, and verify-network --family all-permutations refuses a graph above
+# it: 8!, so every graph on n <= 8 vertices qualifies.
 ORBIT_VERIFY_CAP = 40320
 
 
@@ -133,6 +135,10 @@ def cmd_verify_network(args):
     graph = _load_graph(args.graph)
     _require(graph.n == net.n, "input graph vertex count does not match network labels")
     _require(net.is_monotone(), "soundness is defined only for monotone networks: an edge is negated")
+    if args.family == "all-permutations":
+        bound = orbit_bound(graph)
+        _require(bound <= ORBIT_VERIFY_CAP, f"--family all-permutations: the graph may have {bound} "
+                 f"permuted copies, above {ORBIT_VERIFY_CAP}; use --family single")
     sound = net.is_sound()
     counterexample = None if sound else {"kind": "unsound", "cut_left_mask": net.soundness_counterexample()}
     family = [graph] if args.family == "single" else all_distinct_permuted_copies(graph)

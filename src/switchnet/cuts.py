@@ -82,6 +82,17 @@ def crossing_mask(n: int, edge) -> int:
     return left & (full if head == "t" else full ^ _left_mask(n, head))
 
 
+def usable_masks(n: int, edges):
+    """For each edge, already checked to join s, t, 1..n, the bitmask over
+    all 2**n cuts with bit C set iff the edge does not cross C: by De Morgan,
+    iff its tail is outside L(C) or its head inside it.  The left masks of
+    1..n are built once, with those of s (every cut) and t (none), and are
+    freed on return."""
+    full = full_cut_mask(n)
+    left = {"s": full, "t": 0, **{v: _left_mask(n, v) for v in range(1, n + 1)}}
+    return [(full ^ left[tail]) | left[head] for tail, head in edges]
+
+
 def parity_mask(n: int, vmask: int) -> int:
     """Bitmask over cuts with bit C set iff |V & L(C)| is odd (V as bitmask)."""
     parity = 0

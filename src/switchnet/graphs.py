@@ -61,11 +61,6 @@ class InputGraph:
                 raise ValueError(f"loop edge at {u!r}")
             clean.add((u, v))
         self.edges = frozenset(clean)
-        self._succ = {}
-        self._pred = {}
-        for u, v in self.edges:
-            self._succ.setdefault(u, set()).add(v)
-            self._pred.setdefault(v, set()).add(u)
         self._trees = {}
 
     @property
@@ -79,14 +74,15 @@ class InputGraph:
         return range(1, self.n + 1)
 
     def _tree(self, source, reverse=False):
-        """BFS from source, along edges or against them when reverse: the
-        parent links (see `bfs`) and each reached vertex's distance.
-        Neighbours are tried in str order, so each parent, and hence
-        shortest_st_path, is deterministic.  Memoized: the graph is
-        immutable, and no caller may see or mutate the dicts."""
+        """BFS from source over `edges`, read forward or reversed: the parent
+        links (see `bfs`) and each reached vertex's distance.  Neighbours are
+        tried in str order, so shortest_st_path is deterministic.  Memoized:
+        the graph is immutable, and no caller may see or mutate the dicts."""
         key = (source, reverse)
         if key not in self._trees:
-            adjacency = self._pred if reverse else self._succ
+            adjacency = {}
+            for u, v in self.edges:
+                adjacency.setdefault(v if reverse else u, []).append(u if reverse else v)
             links, _ = bfs(source, lambda x: ((w, None) for w in sorted(adjacency.get(x, ()), key=str)))
             dist = {}
             for v, link in links.items():
@@ -154,6 +150,8 @@ class InputGraph:
 
     @classmethod
     def from_json(cls, obj):
+        if not all(isinstance(x, list) for x in [obj["edges"], *obj["edges"]]):
+            raise ValueError("a graph's edges must be a JSON array of [tail, head] arrays")
         return cls(obj["n"], {(u, v) for u, v in obj["edges"]})
 
 

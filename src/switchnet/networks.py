@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 
-from .cuts import CutFunction, crossing_mask, full_cut_mask
+from .cuts import CutFunction, full_cut_mask, usable_masks
 from .graphs import InputGraph, _require_count, _valid_vertex, bfs, trace
 
 WRITE_BLOCK = 4096  # edges per write in SwitchingNetwork.write_json
 # bits of cut masks a soundness sweep may hold, 4 GiB; it holds one 2**n-bit
-# mask per node and one per distinct label
+# mask per distinct label, first beside the n left masks it builds them from
+# and then beside one mask per node
 SWEEP_BITS_CAP = 1 << 35
 
 
@@ -145,7 +146,7 @@ class SwitchingNetwork:
     def require_sweep_fits(self):
         """Refuse, with a ValueError, a soundness sweep whose cut masks would
         take more than SWEEP_BITS_CAP bits."""
-        bits = (len(self.vertices) + len(self._labels)) << self.n
+        bits = (max(len(self.vertices), self.n) + len(self._labels)) << self.n
         if bits > SWEEP_BITS_CAP:
             raise ValueError(f"the soundness sweep at n={self.n} needs {bits} bits of cut masks, "
                              f"above its budget of {SWEEP_BITS_CAP}")
@@ -189,9 +190,8 @@ class SwitchingNetwork:
         from s' using only labels that do not cross C (labels in E(G(C)))."""
         self._require_monotone()
         self.require_sweep_fits()
-        full = full_cut_mask(self.n)
-        usable = [full ^ crossing_mask(self.n, label) for label in self._labels]
-        return dict(zip(self.vertices, self._mask_dataflow(usable, full)))
+        usable = usable_masks(self.n, self._labels)
+        return dict(zip(self.vertices, self._mask_dataflow(usable, full_cut_mask(self.n))))
 
     def is_sound(self) -> bool:
         """No cut C has an s'-t' path labeled within E(G(C))."""
@@ -327,7 +327,10 @@ class SwitchingNetwork:
     @classmethod
     def from_json(cls, obj):
         net, edges = cls.__new__(cls), obj["edges"]
+        labels = [d["label"] for d in edges]
+        if not all(isinstance(x, list) for x in [obj["vertices"], edges, *labels]):
+            raise ValueError("a network's vertices, edges and edge labels must be JSON arrays")
         pos = net._set_nodes(obj["n"], obj["vertices"], obj["s"], obj["t"])
         net._set_edges_by_id(pos, [d["u"] for d in edges], [d["v"] for d in edges],
-                             [d["label"] for d in edges], [d.get("negated", False) for d in edges])
+                             labels, [d.get("negated", False) for d in edges])
         return net

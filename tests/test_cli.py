@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from switchnet import lowerbound, parity, pebbles
+from switchnet import cli, lowerbound, parity, pebbles
 from switchnet.cli import build_parser, main
 from switchnet.graphs import InputGraph, chain_with_lollipops
 from switchnet.networks import NetEdge, SwitchingNetwork
@@ -348,12 +348,18 @@ class TestMalformedInput:
                                                                  {"u": "a", "v": "b", "label": ["s", True]}]})),
         ("pebble", "--graph", json.dumps({"n": True, "edges": []})),
         ("pebble", "--graph", json.dumps({"n": 2, "edges": [["s", True]]})),
+        ("pebble", "--graph", json.dumps({"n": 1, "edges": ["st"]})),
+        ("pebble", "--graph", json.dumps({"n": 1, "edges": {"st": 0}})),
+        ("verify-network", "--net", json.dumps({**NET, "edges": [{"u": "a", "v": "b", "label": "st"}]})),
+        ("verify-network", "--net", json.dumps({**NET, "vertices": "ab"})),
+        ("verify-network", "--net", json.dumps({**NET, "vertices": {"a": 0, "b": 0}})),
     ], ids=["graph-missing-key", "graph-truncated", "graph-vertex-out-of-range",
             "net-missing-key", "net-truncated", "net-label-out-of-range",
             "graph-n-not-int", "graph-n-negative", "net-n-negative",
             "net-endpoint-outside", "net-label-three-vertices", "net-label-loop", "net-list-id",
             "net-repeated-vertex", "net-n-bool", "net-negated-not-bool", "net-label-vertex-bool",
-            "graph-n-bool", "graph-vertex-bool"])
+            "graph-n-bool", "graph-vertex-bool", "graph-edge-string", "graph-edges-object",
+            "net-label-string", "net-vertices-string", "net-vertices-object"])
     def test_exits_two(self, tmp_path, capsys, command, flag, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -426,8 +432,9 @@ class TestParameterDomain:
     are build-upper's graphs: chain mode needs the canonical chain with
     lollipops, and general mode without --g0 a core it can infer (bare.json
     has neither a middle-to-middle edge nor an s...t path).  verify-network
-    checks that the graph's n is the network's, that no edge is negated, and
-    that the sweep's cut masks fit their budget, before its soundness sweep;
+    checks that the graph's n is the network's, that no edge is negated,
+    that the sweep's cut masks fit their budget, and that the permuted-copy
+    family's bound is at most ORBIT_VERIFY_CAP, before its soundness sweep;
     pebble without --savitch needs n <= STATE_CAP."""
 
     @pytest.mark.parametrize("argv", [
@@ -456,13 +463,16 @@ class TestParameterDomain:
         ["verify-network", "--net", "net5.json", "--graph", "g.json"],
         ["verify-network", "--net", "negated.json", "--graph", "g.json"],
         ["verify-network", "--net", "net40.json", "--graph", "g40.json"],
+        ["verify-network", "--net", "net31.json", "--graph", "g31.json"],
         ["pebble", "--graph", "g25.json"],
+        ["verify-network", "--net", "net9.json", "--graph", "g9.json"],
     ], ids=["spectra-k", "formulas-k", "build-base-z", "certify-lower-z", "build-upper-z",
             "e0-token", "e0-range", "e0-not-edge", "e0-three-vertices", "g0-token", "g0-range", "g0-zero",
             "g0-repeated", "chain-not-canonical", "core-not-inferable", "savitch-token", "savitch-range", "savitch-not-edge", "savitch-not-st",
             "permutation-average-n-large", "permutation-average-n-zero", "permutation-average-trials",
             "verify-network-n-mismatch", "verify-network-negated", "verify-network-sweep-budget",
-            "pebble-n-above-state-cap"])
+            "verify-network-sweep-table",
+            "pebble-n-above-state-cap", "verify-network-orbit-cap"])
     def test_exits_two(self, tmp_path, monkeypatch, capsys, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("the build ran before its parameters were checked")
@@ -472,6 +482,7 @@ class TestParameterDomain:
         monkeypatch.setattr(parity, "build_chain_lollipop", refuse)
         monkeypatch.setattr(SwitchingNetwork, "is_sound", refuse)
         monkeypatch.setattr(pebbles, "min_pebble_number", refuse)
+        monkeypatch.setattr(cli, "all_distinct_permuted_copies", refuse)
         (tmp_path / "g.json").write_text(json.dumps(chain_with_lollipops(4, 2).to_json()))
         (tmp_path / "bare.json").write_text(json.dumps(InputGraph(4, {("s", 1), ("s", 2)}).to_json()))
         (tmp_path / "net5.json").write_text(json.dumps(SwitchingNetwork(5, ["a", "b"], "a", "b", []).to_json()))
@@ -480,7 +491,15 @@ class TestParameterDomain:
         (tmp_path / "g25.json").write_text(json.dumps(chain_with_lollipops(25, 2).to_json()))
         (tmp_path / "net40.json").write_text(json.dumps(SwitchingNetwork(40, ["a", "b"], "a", "b", []).to_json()))
         (tmp_path / "g40.json").write_text(json.dumps(InputGraph(40, set()).to_json()))
-        files = ("g.json", "bare.json", "net5.json", "negated.json", "g25.json", "net40.json", "g40.json")
+        # 2 node masks at n=31 fit the budget, but not the 31 left masks the
+        # sweep builds its label masks from
+        (tmp_path / "net31.json").write_text(json.dumps(SwitchingNetwork(31, ["a", "b"], "a", "b", []).to_json()))
+        (tmp_path / "g31.json").write_text(json.dumps(InputGraph(31, set()).to_json()))
+        # chain_with_lollipops(9, 9) is twin-free: 9! permuted copies
+        (tmp_path / "net9.json").write_text(json.dumps(SwitchingNetwork(9, ["a", "b"], "a", "b", []).to_json()))
+        (tmp_path / "g9.json").write_text(json.dumps(chain_with_lollipops(9, 9).to_json()))
+        files = ("g.json", "bare.json", "net5.json", "negated.json", "g25.json", "net40.json", "g40.json",
+                 "net31.json", "g31.json", "net9.json", "g9.json")
         assert run([tmp_path / a if a in files else a for a in argv]) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()

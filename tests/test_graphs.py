@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import deque
 from functools import partial
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from switchnet.cuts import Permutation
 from switchnet.graphs import InputGraph, all_distinct_permuted_copies, chain_with_lollipops, orbit_bound
+from switchnet.parity import placement_graphs
 
 from conftest import random_graph, small_graphs
 
@@ -146,6 +148,19 @@ class TestConstruction:
 
     def test_distinct_permuted_copies(self):
         assert len(all_distinct_permuted_copies(chain_with_lollipops(4, 2))) == 12
+
+    def test_graph_holds_only_its_edges(self):
+        # a graph holds n, its edge set and its memoized trees, about 1.5 KiB
+        # in a placement family; eager successor and predecessor maps made it
+        # 5.4 KiB, and members of a family never run a BFS
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            placements = placement_graphs(8, 3)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held / len(placements) < 3 * 1024
 
 
 def _walked_copies(graph):

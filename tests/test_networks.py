@@ -81,6 +81,22 @@ class TestSoundness:
         for net in (SINGLE_EDGE, TWO_STEP, build_chain_lollipop(4, 2, seed=0).network):
             assert net.is_sound() == brute_sound(net)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_labels_match_bruteforce_oracle(self, data):
+        # labels range over every ordered pair of distinct vertices, so s->t,
+        # t->s, v->s and t->v labels are drawn too
+        n = data.draw(st.integers(1, 5))
+        vertices = ["s", "t", *range(1, n + 1)]
+        labels = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)).filter(lambda e: e[0] != e[1])
+        nodes = list(range(data.draw(st.integers(2, 6))))
+        edges = data.draw(st.lists(st.builds(NetEdge, st.sampled_from(nodes), st.sampled_from(nodes), labels),
+                                   max_size=10))
+        net = SwitchingNetwork(n, nodes, 0, 1, edges)
+        assert net.is_sound() == brute_sound(net)
+        first = next((c for c in iter_cuts(n) if net.accepts(maximal_no_instance(c, n))), None)
+        assert net.soundness_counterexample() == first
+
     def test_non_monotone_rejected(self):
         net = SwitchingNetwork(
             1, ["s'", "t'"], "s'", "t'", [NetEdge("s'", "t'", ("s", 1), negated=True)]
